@@ -44,29 +44,39 @@ std::vector<core::CompileScenario> mode_scenarios(std::size_t ne) {
   return scenarios;
 }
 
+/// Best model-CNOT count per sorting mode, in kModes order.
+std::vector<int> mode_cnots(core::CompilePipeline& pipeline,
+                            std::size_t ne) {
+  std::vector<int> cnots;
+  for (const core::ScenarioOutcome& oc :
+       bench::compile_all(pipeline, {.scenarios = mode_scenarios(ne)})
+           .outcomes)
+    cnots.push_back(oc.result.best.model_cnots);
+  return cnots;
+}
+
 }  // namespace
 
 int main() {
   bench::Harness h("ablation_sorting");
   core::CompilePipeline pipeline;
   for (std::size_t ne : {4, 8, 12}) {
-    const auto scenarios = mode_scenarios(ne);
-    std::vector<core::CompileResult> results;
+    const core::CompileRequest request{.scenarios = mode_scenarios(ne)};
+    core::CompileResponse response;
     h.run("sort/batch_water" + std::to_string(ne), 3,
-          [&] { results = pipeline.compile_batch(scenarios); });
-    for (std::size_t m = 0; m < results.size(); ++m)
-      h.metric(kModeNames[m], results[m].model_cnots);
+          [&] { response = bench::compile_all(pipeline, request); });
+    for (std::size_t m = 0; m < response.outcomes.size(); ++m)
+      h.metric(kModeNames[m], response.outcomes[m].result.best.model_cnots);
   }
   // Summary table (the ablation result itself), one batch per size.
   std::printf("\n# E3 sorting ablation (water, JW, no compression)\n");
   std::printf("%4s %8s %10s %9s\n", "Ne", "none", "baseline", "gtsp-ga");
   for (std::size_t ne : {4, 8, 12, 17}) {
-    const auto results = pipeline.compile_batch(mode_scenarios(ne));
-    std::printf("%4zu %8d %10d %9d\n", ne, results[0].model_cnots,
-                results[1].model_cnots, results[2].model_cnots);
+    const std::vector<int> cnots = mode_cnots(pipeline, ne);
+    std::printf("%4zu %8d %10d %9d\n", ne, cnots[0], cnots[1], cnots[2]);
     h.section("summary/water" + std::to_string(ne));
-    for (std::size_t m = 0; m < results.size(); ++m)
-      h.metric(kModeNames[m], results[m].model_cnots);
+    for (std::size_t m = 0; m < cnots.size(); ++m)
+      h.metric(kModeNames[m], cnots[m]);
   }
   return h.write_json() ? 0 : 1;
 }

@@ -20,6 +20,7 @@
 // info_* metrics (hit counters, sizes, speedups) are informational.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_fixtures.hpp"
@@ -76,9 +77,12 @@ int main() {
   db::DatabaseBuilder builder;
   std::vector<core::CompileResult> cold_results;
   h.run("db/cold_build", 1, [&] {
-    core::CompilePipeline pipeline(core::PipelineOptions{});
+    core::CompilePipeline pipeline;
     pipeline.set_store(&builder);
-    cold_results = pipeline.compile_batch(scenarios);
+    cold_results.clear();
+    for (core::ScenarioOutcome& oc :
+         bench::compile_all(pipeline, {.scenarios = scenarios}).outcomes)
+      cold_results.push_back(std::move(oc.result.best));
   });
   if (const std::string err = builder.write(db_path); !err.empty()) {
     std::fprintf(stderr, "bench_db: %s\n", err.c_str());
@@ -95,18 +99,19 @@ int main() {
   h.metric("info_db_bytes", static_cast<double>(database->file_bytes()));
 
   // ---- 2. warm: serve from the database, verify-on-compile --------------
-  core::PipelineOptions warm_opt;
-  warm_opt.verify = true;
-  warm_opt.database_path = db_path;
   std::vector<core::CompileResult> warm_results;
   bool warm_verified = false;
   synth::SynthesisCache::Stats warm_stats;
   const double warm_s = h.run("db/warm_compile", 3, [&] {
-    core::CompilePipeline pipeline(warm_opt);
-    warm_results = pipeline.compile_batch(scenarios);
+    core::CompilePipeline pipeline({.database_path = db_path});
+    warm_results.clear();
     warm_verified = true;
-    for (const verify::EquivalenceReport& r : pipeline.last_verification())
-      warm_verified = warm_verified && r.equivalent();
+    for (core::ScenarioOutcome& oc :
+         bench::compile_all(pipeline, {.scenarios = scenarios, .verify = true})
+             .outcomes) {
+      warm_verified = warm_verified && oc.result.all_verified();
+      warm_results.push_back(std::move(oc.result.best));
+    }
     warm_stats = pipeline.cache().stats();
   });
   h.metric("info_l2_hits", static_cast<double>(warm_stats.l2_hits));

@@ -8,6 +8,8 @@
 // init here is not guarded for concurrent first-touch of the same molecule.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
@@ -156,6 +158,20 @@ inline std::vector<core::CompileScenario> suite_scenarios(
     }
   }
   return scenarios;
+}
+
+/// pipeline.compile(request) for a bench: bench requests are fixed and
+/// valid, so anything short of kDone is a broken bench -- exit loudly
+/// rather than report numbers from a partial response.
+inline core::CompileResponse compile_all(core::CompilePipeline& pipeline,
+                                         const core::CompileRequest& request) {
+  core::CompileResponse response = pipeline.compile(request);
+  if (!response.done()) {
+    std::fprintf(stderr, "bench: compile %s: %s\n",
+                 core::to_string(response.status), response.detail.c_str());
+    std::exit(1);
+  }
+  return response;
 }
 
 }  // namespace femto::bench

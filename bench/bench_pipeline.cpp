@@ -19,6 +19,7 @@
 // (tools/check_bench.py) relies on.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_fixtures.hpp"
@@ -45,6 +46,16 @@ core::CompileOptions sweep_options() {
   return o;
 }
 
+/// The sweep workload fanned out over `restarts` restarts.
+core::MultiStartResult compile_sweep(core::CompilePipeline& pipeline,
+                                     const bench::TermFixture& f,
+                                     std::size_t restarts) {
+  core::CompileResponse response = bench::compile_all(
+      pipeline, {.scenarios = {{"sweep", f.n, f.terms, sweep_options()}},
+                 .restarts = restarts});
+  return std::move(response.outcomes.front().result);
+}
+
 }  // namespace
 
 int main() {
@@ -59,9 +70,8 @@ int main() {
     core::MultiStartResult result;
     const double t = h.run(
         "pipeline/sa_sweep_r8_w" + std::to_string(workers), 3, [&] {
-          core::CompilePipeline pipeline(
-              {.workers = workers, .restarts = kRestarts});
-          result = pipeline.compile_best(f.n, f.terms, sweep_options());
+          core::CompilePipeline pipeline({.workers = workers});
+          result = compile_sweep(pipeline, f, kRestarts);
         });
     h.metric("best_cnots", result.best.model_cnots);
     h.metric("best_restart", static_cast<double>(result.best_restart));
@@ -84,8 +94,8 @@ int main() {
   for (std::size_t restarts : {1u, 2u, 4u, 8u}) {
     core::MultiStartResult result;
     h.run("pipeline/restarts" + std::to_string(restarts), 3, [&] {
-      core::CompilePipeline pipeline({.workers = 0, .restarts = restarts});
-      result = pipeline.compile_best(f.n, f.terms, sweep_options());
+      core::CompilePipeline pipeline({.workers = 0});
+      result = compile_sweep(pipeline, f, restarts);
     });
     h.metric("best_cnots", result.best.model_cnots);
     std::printf("%9zu %10d %12zu\n", restarts, result.best.model_cnots,
@@ -118,8 +128,11 @@ int main() {
       batch_results.push_back(core::compile_vqe(s.num_qubits, s.terms, s.options));
   });
   const double t_pool = h.run("pipeline/batch6_pool", 3, [&] {
-    core::CompilePipeline pipeline({.workers = 0, .restarts = 1});
-    batch_results = pipeline.compile_batch(scenarios);
+    core::CompilePipeline pipeline({.workers = 0});
+    batch_results.clear();
+    for (core::ScenarioOutcome& oc :
+         bench::compile_all(pipeline, {.scenarios = scenarios}).outcomes)
+      batch_results.push_back(std::move(oc.result.best));
   });
   h.metric("scaling_vs_seq", t_seq / t_pool);
   std::printf("\n# E7c batch sweep (water Ne=8): transform x sorting cnots\n");
@@ -132,8 +145,9 @@ int main() {
 
   // E7d: synthesis-cache effect across an 8-restart run.
   {
-    core::CompilePipeline pipeline({.workers = 0, .restarts = kRestarts});
-    const auto result = pipeline.compile_best(f.n, f.terms, sweep_options());
+    core::CompilePipeline pipeline({.workers = 0});
+    const core::MultiStartResult result =
+        compile_sweep(pipeline, f, kRestarts);
     const auto stats = pipeline.cache().stats();
     h.section("cache/restart8");
     h.metric("info_hits", static_cast<double>(stats.hits));
@@ -163,7 +177,7 @@ int main() {
     request.restarts = 2;
     request.seed = 20230306;
     const auto canonical_compile = [&] {
-      core::CompilePipeline pipeline({.workers = 0, .restarts = 1});
+      core::CompilePipeline pipeline({.workers = 0});
       const core::CompileResponse resp = pipeline.compile(request);
       return service::protocol::encode_response(
                  service::protocol::summarize(resp, /*include_circuits=*/true))

@@ -1,5 +1,5 @@
-// Parallel multi-restart / batch compilation pipeline behind ONE unified
-// entry point: CompilePipeline::compile(CompileRequest) -> CompileResponse.
+// Parallel multi-restart / batch compilation pipeline behind ONE entry
+// point: CompilePipeline::compile(CompileRequest) -> CompileResponse.
 //
 // A CompileRequest is the cross product (scenarios x targets x restarts)
 // plus the request-scoped controls a serving tier needs: an explicit master
@@ -7,15 +7,9 @@
 // cancellation flag. The same struct is what the femtod daemon accepts over
 // its JSON-line protocol (service/protocol.hpp), so "compile in-process"
 // and "compile via the service" are literally the same request shape -- and
-// a seeded request returns a bit-identical plan either way.
-//
-// The historical entry points survive as thin documented adapters over
-// compile():
-//
-//  - compile_best             one scenario, PipelineOptions.restarts fan-out
-//  - compile_batch            many scenarios, one restart each
-//  - compile_batch_best       many scenarios, restarts fan-out each
-//  - compile_best_for_targets one scenario fanned out per hardware target
+// a seeded request returns a bit-identical plan either way. One scenario,
+// a batch, a restart fan-out and a hardware-target sweep are all just
+// request shapes; there is no second way in.
 //
 // Determinism contract: every job is a pure function of (scenario, derived
 // seed) and writes only its own output slot; winner selection is a pure
@@ -99,11 +93,6 @@ struct MultiStartResult {
   }
 };
 
-struct TargetCompileResult {
-  synth::HardwareTarget target;
-  MultiStartResult result;
-};
-
 /// Terminal disposition of a CompileRequest. The service lifecycle
 /// (service/lifecycle.hpp) maps these onto its terminal request states.
 enum class RequestStatus {
@@ -176,6 +165,44 @@ struct CompileResponse {
   [[nodiscard]] bool done() const { return status == RequestStatus::kDone; }
 };
 
+/// Longest CompileRequest.deadline_s accepted: half the steady clock's
+/// remaining range, so `now() + deadline_s` stays representable however
+/// long the request then waits in a queue.
+[[nodiscard]] inline double max_deadline_s() {
+  using clock = std::chrono::steady_clock;
+  return std::chrono::duration<double>(clock::time_point::max() -
+                                       clock::now())
+             .count() /
+         2.0;
+}
+
+/// Diagnostic for a term the compiler cannot take; empty string = valid.
+/// Every orbital must be one of the n qubits, and a double must be in the
+/// form ExcitationTerm::make_double builds -- distinct, ascending creation
+/// and annihilation pairs (p < q, r < s) that are not the same pair. A
+/// wire-decoded term never passed through make_double.
+[[nodiscard]] inline std::string validate_term(
+    std::size_t n, const fermion::ExcitationTerm& t) {
+  const std::size_t orbitals[] = {t.p, t.r, t.q, t.s};
+  for (std::size_t k = 0; k < (t.is_double() ? 4u : 2u); ++k)
+    if (orbitals[k] >= n)
+      return "orbital " + std::to_string(orbitals[k]) +
+             " is out of range for " + std::to_string(n) + " qubits";
+  if (!t.is_double()) return "";
+  if (t.p == t.q || t.r == t.s)
+    return "double excitation repeats orbital " +
+           std::to_string(t.p == t.q ? t.p : t.r) +
+           "; its creation and annihilation pairs must each be distinct";
+  if (t.p > t.q || t.r > t.s)
+    return "double excitation pairs must be ascending (p < q, r < s), as "
+           "ExcitationTerm::make_double stores them";
+  if (t.p == t.r && t.q == t.s)
+    return "double excitation creates and annihilates the same pair (" +
+           std::to_string(t.p) + ", " + std::to_string(t.q) +
+           "); its generator is zero";
+  return "";
+}
+
 /// Diagnostic for an invalid request; empty string = valid. The service
 /// layer validates BEFORE queueing (a daemon must reject loudly, never
 /// abort), and compile() validates again on entry.
@@ -186,10 +213,22 @@ struct CompileResponse {
            "); a compile needs at least the master-seed restart";
   if (r.scenarios.empty())
     return "CompileRequest.scenarios is empty: nothing to compile";
-  if (!(r.deadline_s >= 0.0))
-    return "CompileRequest.deadline_s must be >= 0 and finite";
+  if (!(r.deadline_s >= 0.0 && r.deadline_s <= max_deadline_s())) {
+    char buf[192];
+    std::snprintf(buf, sizeof buf,
+                  "CompileRequest.deadline_s must be finite and in [0, %.3g] "
+                  "seconds, the range the steady clock can represent (got "
+                  "%g)",
+                  max_deadline_s(), r.deadline_s);
+    return buf;
+  }
   const std::size_t T = r.targets.empty() ? 1 : r.targets.size();
   for (const CompileScenario& s : r.scenarios) {
+    for (std::size_t k = 0; k < s.terms.size(); ++k)
+      if (const std::string err = validate_term(s.num_qubits, s.terms[k]);
+          !err.empty())
+        return "scenario '" + s.name + "': term " + std::to_string(k) + ": " +
+               err;
     for (std::size_t t = 0; t < T; ++t) {
       CompileOptions o = s.options;
       if (!r.targets.empty()) o.target = r.targets[t];
@@ -202,24 +241,11 @@ struct CompileResponse {
 }
 
 struct PipelineOptions {
-  // NOTE: there is deliberately NO positional constructor. The historical
-  // (workers, restarts, bool, bool) form put share_synthesis_cache and
-  // verify side by side -- a silent-transposition bug waiting to happen.
-  // Use designated initializers or field assignment.
+  // NOTE: there is deliberately NO positional constructor. Use designated
+  // initializers or field assignment.
 
   /// Worker threads; 0 = hardware concurrency.
   std::size_t workers = 0;
-  /// Restarts per compile in compile_best / compile_batch_best.
-  std::size_t restarts = 1;
-  /// Share one synthesis memo across all jobs of a call.
-  bool share_synthesis_cache = true;
-  /// Default for the adapter entry points (compile_best & co.); a
-  /// CompileRequest carries its own verify flag. Non-default targets
-  /// certify the LOWERED/routed circuit, so the routing and native-gate
-  /// passes are inside the verified boundary.
-  bool verify = false;
-  /// Checker knobs used when verification runs.
-  verify::EquivalenceOptions verify_options;
   /// Path to a persistent compilation database (db/database.hpp), attached
   /// as a read-through L2 behind the shared in-memory memo. Empty = no
   /// database. The file is opened read-only (mmap, shared across threads
@@ -237,37 +263,12 @@ struct PipelineOptions {
   /// constructor error unless the operator opted into degradation
   /// (femtod --degrade-on-db-error).
   bool degrade_on_db_error = false;
-  /// Memory bound for the shared synthesis cache (0 fields = unbounded).
-  synth::SynthesisCache::Budget cache_budget;
-
-  /// Diagnostic for inconsistent configurations; empty string = valid.
-  [[nodiscard]] std::string validate() const {
-    if (restarts < 1)
-      return "PipelineOptions.restarts must be >= 1 (got " +
-             std::to_string(restarts) + "); a compile needs at least the "
-             "master-seed restart";
-    if (verify && verify_options.allow_dense_fallback &&
-        verify_options.dense_trials < 1)
-      return "PipelineOptions.verify is on but verify_options.dense_trials "
-             "is " +
-             std::to_string(verify_options.dense_trials) +
-             "; the dense arbiter needs at least one trial (or disable "
-             "allow_dense_fallback)";
-    return "";
-  }
 };
 
 class CompilePipeline {
  public:
   explicit CompilePipeline(PipelineOptions options = {})
-      : options_(std::move(options)),
-        pool_(options_.workers),
-        cache_(options_.cache_budget) {
-    if (const std::string err = options_.validate(); !err.empty()) {
-      std::fprintf(stderr, "femto: invalid PipelineOptions: %s\n",
-                   err.c_str());
-      FEMTO_EXPECTS(false && "invalid PipelineOptions (diagnostic above)");
-    }
+      : options_(std::move(options)), pool_(options_.workers) {
     if (!options_.database_path.empty()) {
       std::string err;
       database_ = db::Database::open(options_.database_path, &err);
@@ -299,8 +300,6 @@ class CompilePipeline {
   }
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
   [[nodiscard]] const synth::SynthesisCache& cache() const { return cache_; }
-  /// Mutable cache access (budget changes, attaching a recording store).
-  [[nodiscard]] synth::SynthesisCache& mutable_cache() { return cache_; }
   /// The database opened from PipelineOptions.database_path, or nullptr.
   [[nodiscard]] const db::Database* database() const {
     return database_.has_value() ? &*database_ : nullptr;
@@ -312,18 +311,9 @@ class CompilePipeline {
   /// cold run for femto-db). Replaces the database from database_path; call
   /// before compiling, not concurrently with it.
   void set_store(synth::SynthesisStore* store) { cache_.set_store(store); }
-  [[nodiscard]] ThreadPool& pool() { return pool_; }
 
-  /// Verification verdicts of the most recent compile, in job order
-  /// (scenario i x target t, restart r at index (i*T + t)*R + r). Empty
-  /// unless the request verified.
-  [[nodiscard]] const std::vector<verify::EquivalenceReport>&
-  last_verification() const {
-    return last_verification_;
-  }
-
-  /// THE unified entry point: every (scenario, target) cell multi-restarted
-  /// on one job queue, reduced deterministically, optionally verified, with
+  /// The entry point: every (scenario, target) cell multi-restarted on
+  /// one job queue, reduced deterministically, optionally verified, with
   /// cooperative cancel/deadline checks at restart boundaries. Invalid
   /// requests return kRejected with a diagnostic -- compile() never aborts
   /// on request content, so a serving daemon survives any wire input.
@@ -336,7 +326,6 @@ class CompilePipeline {
     if (std::string err = validate_request(request); !err.empty()) {
       out.status = RequestStatus::kRejected;
       out.detail = std::move(err);
-      last_verification_.clear();
       return out;
     }
     const std::size_t S = request.scenarios.size();
@@ -376,9 +365,8 @@ class CompilePipeline {
                      std::chrono::duration<double>(request.deadline_s));
     }
 
-    std::vector<std::uint8_t> completed;
-    std::vector<CompileResult> results = run_jobs(
-        std::move(jobs), request.verify, request.cancel, deadline, completed);
+    JobSlots slots =
+        run_jobs(std::move(jobs), request.verify, request.cancel, deadline);
 
     out.outcomes.reserve(S * T);
     std::size_t done_jobs = 0;
@@ -386,22 +374,19 @@ class CompilePipeline {
       ScenarioOutcome oc;
       oc.scenario = request.scenarios[cell / T].name;
       oc.target = expanded[cell].target;
+      const auto first = static_cast<std::ptrdiff_t>(cell * R);
+      const auto last = static_cast<std::ptrdiff_t>((cell + 1) * R);
       std::vector<CompileResult> slice(
-          std::make_move_iterator(results.begin() +
-                                  static_cast<std::ptrdiff_t>(cell * R)),
-          std::make_move_iterator(results.begin() +
-                                  static_cast<std::ptrdiff_t>((cell + 1) * R)));
+          std::make_move_iterator(slots.results.begin() + first),
+          std::make_move_iterator(slots.results.begin() + last));
       oc.result = reduce_restarts(expanded[cell].seed, expanded[cell],
-                                  std::move(slice), &completed[cell * R]);
+                                  std::move(slice), &slots.completed[cell * R]);
       for (std::size_t r = 0; r < R; ++r)
-        if (completed[cell * R + r]) ++oc.restarts_completed;
+        if (slots.completed[cell * R + r]) ++oc.restarts_completed;
       done_jobs += oc.restarts_completed;
-      if (!last_verification_.empty())
-        oc.result.verification.assign(
-            last_verification_.begin() +
-                static_cast<std::ptrdiff_t>(cell * R),
-            last_verification_.begin() +
-                static_cast<std::ptrdiff_t>((cell + 1) * R));
+      if (!slots.verification.empty())
+        oc.result.verification.assign(slots.verification.begin() + first,
+                                      slots.verification.begin() + last);
       out.outcomes.push_back(std::move(oc));
     }
 
@@ -421,82 +406,6 @@ class CompilePipeline {
     return out;
   }
 
-  // --- historical entry points: thin adapters over compile() -------------
-
-  /// N = PipelineOptions.restarts independent restarts of one compile;
-  /// keeps the best-cost plan. Restart r runs options.seed for r == 0 and a
-  /// derived stream otherwise, so the result can never cost more than
-  /// single-shot compile_vqe(options) and is bit-identical for any worker
-  /// count. Adapter for compile() with one scenario.
-  [[nodiscard]] MultiStartResult compile_best(
-      std::size_t n, const std::vector<fermion::ExcitationTerm>& terms,
-      const CompileOptions& options) {
-    CompileRequest req;
-    req.scenarios.push_back({"", n, terms, options});
-    req.restarts = options_.restarts;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_best");
-    return std::move(resp.outcomes.front().result);
-  }
-
-  /// Batch-compiles scenarios once each (no restart fan-out); results[i]
-  /// belongs to scenarios[i]. Adapter for compile() with restarts = 1.
-  [[nodiscard]] std::vector<CompileResult> compile_batch(
-      const std::vector<CompileScenario>& scenarios) {
-    CompileRequest req;
-    req.scenarios = scenarios;
-    req.restarts = 1;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_batch");
-    std::vector<CompileResult> results;
-    results.reserve(resp.outcomes.size());
-    for (ScenarioOutcome& oc : resp.outcomes)
-      results.push_back(std::move(oc.result.best));
-    return results;
-  }
-
-  /// One multi-restart compile per hardware target (all restarts of all
-  /// targets share one job queue on the pool). Results come back in target
-  /// order. Adapter for compile() with a target fan-out.
-  [[nodiscard]] std::vector<TargetCompileResult> compile_best_for_targets(
-      std::size_t n, const std::vector<fermion::ExcitationTerm>& terms,
-      const CompileOptions& base,
-      const std::vector<synth::HardwareTarget>& targets) {
-    CompileRequest req;
-    req.scenarios.push_back({"", n, terms, base});
-    req.targets = targets;
-    req.restarts = options_.restarts;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_best_for_targets");
-    std::vector<TargetCompileResult> out;
-    out.reserve(targets.size());
-    for (std::size_t t = 0; t < targets.size(); ++t)
-      out.push_back({targets[t], std::move(resp.outcomes[t].result)});
-    return out;
-  }
-
-  /// Multi-restarts every scenario; results[i] belongs to scenarios[i]. All
-  /// scenarios' restarts share one job queue, so wide batches keep every
-  /// worker busy even when individual scenarios are small. Adapter for
-  /// compile().
-  [[nodiscard]] std::vector<MultiStartResult> compile_batch_best(
-      const std::vector<CompileScenario>& scenarios) {
-    CompileRequest req;
-    req.scenarios = scenarios;
-    req.restarts = options_.restarts;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_batch_best");
-    std::vector<MultiStartResult> out;
-    out.reserve(resp.outcomes.size());
-    for (ScenarioOutcome& oc : resp.outcomes)
-      out.push_back(std::move(oc.result));
-    return out;
-  }
-
  private:
   struct Job {
     std::size_t num_qubits = 0;
@@ -507,15 +416,13 @@ class CompilePipeline {
     std::size_t restart = 0;
   };
 
-  /// The adapters promise complete results; anything else is a programming
-  /// error at the call site (the service layer, which handles partial
-  /// statuses, calls compile() directly).
-  static void expect_done(const CompileResponse& resp, const char* entry) {
-    if (resp.done()) return;
-    std::fprintf(stderr, "femto: %s failed: %s: %s\n", entry,
-                 to_string(resp.status), resp.detail.c_str());
-    FEMTO_EXPECTS(false && "compile request failed (diagnostic above)");
-  }
+  /// Per-job outputs of run_jobs, all in job order.
+  struct JobSlots {
+    std::vector<CompileResult> results;
+    std::vector<std::uint8_t> completed;
+    /// Verdicts, one per job; empty unless the request verified.
+    std::vector<verify::EquivalenceReport> verification;
+  };
 
   /// Runs all jobs on the pool (slot-indexed, so output order == input
   /// order). Each job checks the cancel flag and deadline BEFORE running --
@@ -523,15 +430,14 @@ class CompilePipeline {
   /// completion (completed[i] = 1) or is skipped whole (completed[i] = 0).
   /// With verify, each completed job also certifies its emitted circuit
   /// against the recorded spec before returning its slot.
-  [[nodiscard]] std::vector<CompileResult> run_jobs(
+  [[nodiscard]] JobSlots run_jobs(
       std::vector<Job> jobs, bool verify, const std::atomic<bool>* cancel,
-      std::chrono::steady_clock::time_point deadline,
-      std::vector<std::uint8_t>& completed) {
-    std::vector<CompileResult> results(jobs.size());
-    completed.assign(jobs.size(), 1);
-    last_verification_.clear();
-    if (verify) last_verification_.resize(jobs.size());
-    const verify::EquivalenceChecker checker(options_.verify_options);
+      std::chrono::steady_clock::time_point deadline) {
+    JobSlots slots;
+    slots.results.resize(jobs.size());
+    slots.completed.assign(jobs.size(), 1);
+    if (verify) slots.verification.resize(jobs.size());
+    const verify::EquivalenceChecker checker;
     static obs::Counter& restarts_completed =
         obs::registry().counter("pipeline.restarts_completed");
     static obs::Counter& restarts_skipped =
@@ -539,10 +445,10 @@ class CompilePipeline {
     pool_.parallel_for(jobs.size(), [&](std::size_t i) {
       if ((cancel != nullptr && cancel->load(std::memory_order_relaxed)) ||
           std::chrono::steady_clock::now() > deadline) {
-        completed[i] = 0;
+        slots.completed[i] = 0;
         restarts_skipped.inc();
         if (verify)
-          last_verification_[i].detail =
+          slots.verification[i].detail =
               "not verified: restart job skipped (cancelled or deadline "
               "exceeded)";
         return;
@@ -553,9 +459,9 @@ class CompilePipeline {
         span.arg("scenario", *jobs[i].scenario_name);
       span.arg("target", jobs[i].options.target.name);
       CompileOptions options = jobs[i].options;
-      if (options_.share_synthesis_cache && options.emit_circuit)
-        options.synthesis_cache = &cache_;
-      results[i] = compile_vqe(jobs[i].num_qubits, *jobs[i].terms, options);
+      if (options.emit_circuit) options.synthesis_cache = &cache_;
+      CompileResult& result = slots.results[i];
+      result = compile_vqe(jobs[i].num_qubits, *jobs[i].terms, options);
       if (FEMTO_FAILPOINT("pipeline.restart")) {
         // Injected transient fault at the restart boundary: throw the
         // finished job away and recompute it. compile_vqe is a pure
@@ -564,7 +470,7 @@ class CompilePipeline {
         static obs::Counter& restart_retries =
             obs::registry().counter("pipeline.restart_retries");
         restart_retries.inc();
-        results[i] = compile_vqe(jobs[i].num_qubits, *jobs[i].terms, options);
+        result = compile_vqe(jobs[i].num_qubits, *jobs[i].terms, options);
       }
       restarts_completed.inc();
       if (verify) {
@@ -574,17 +480,17 @@ class CompilePipeline {
           // Certify the final artifact: on non-default targets that is the
           // lowered/routed circuit, so the routing pass and native-gate
           // lowering sit INSIDE the verified boundary.
-          last_verification_[i] =
-              checker.check_spec(results[i].final_circuit(), results[i].spec);
+          slots.verification[i] =
+              checker.check_spec(result.final_circuit(), result.spec);
         } else {
           // Nothing to certify: say so instead of leaving a blank report
           // that reads like a silent failure.
-          last_verification_[i].detail =
+          slots.verification[i].detail =
               "not verified: no circuit emitted (emit_circuit = false)";
         }
       }
     });
-    return results;
+    return slots;
   }
 
   /// The figure of merit a restart is ranked by: the historical model-CNOT
@@ -610,7 +516,7 @@ class CompilePipeline {
     int best_cost = 0;
     bool have_best = false;
     for (std::size_t r = 0; r < results.size(); ++r) {
-      const bool ok = completed == nullptr || completed[r] != 0;
+      const bool ok = completed[r] != 0;
       out.restarts.push_back({opt::restart_seed(master_seed, r),
                               results[r].model_cnots, results[r].model_cost,
                               results[r].device_cost, ok});
@@ -631,7 +537,6 @@ class CompilePipeline {
   synth::SynthesisCache cache_;
   std::optional<db::Database> database_;
   bool db_degraded_ = false;
-  std::vector<verify::EquivalenceReport> last_verification_;
 };
 
 }  // namespace femto::core

@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -538,26 +539,32 @@ void expect_identical(const core::CompileResult& a,
   EXPECT_EQ(a.circuit.to_string(), b.circuit.to_string());
 }
 
+/// Best plan of a verified 2-restart compile of `f`, checking every
+/// restart's circuit was certified.
+core::CompileResult verified_best(core::CompilePipeline& pipeline,
+                                  const Fixture& f) {
+  core::CompileResponse response = pipeline.compile(
+      {.scenarios = {{"h2", f.n, f.terms, fast_options()}},
+       .restarts = 2,
+       .verify = true});
+  EXPECT_TRUE(response.done()) << response.detail;
+  if (response.outcomes.empty()) return {};
+  EXPECT_TRUE(response.outcomes[0].result.all_verified());
+  return std::move(response.outcomes[0].result.best);
+}
+
 TEST(PipelineDatabase, ResultsAreBitIdenticalColdWarmOnOff) {
   const Fixture& f = h2();
-  const core::CompileOptions options = fast_options();
-  core::PipelineOptions popt{
-      .workers = 2, .restarts = 2, .verify = true};
 
   // Off: no store at all -- the baseline result.
-  core::CompilePipeline off(popt);
-  const core::MultiStartResult baseline =
-      off.compile_best(f.n, f.terms, options);
-  EXPECT_TRUE(baseline.all_verified());
+  core::CompilePipeline off({.workers = 2});
+  const core::CompileResult baseline = verified_best(off, f);
 
   // Cold: record everything the compile synthesizes.
   db::DatabaseBuilder builder;
-  core::CompilePipeline cold(popt);
+  core::CompilePipeline cold({.workers = 2});
   cold.set_store(&builder);
-  const core::MultiStartResult recorded =
-      cold.compile_best(f.n, f.terms, options);
-  expect_identical(baseline.best, recorded.best);
-  EXPECT_TRUE(recorded.all_verified());
+  expect_identical(baseline, verified_best(cold, f));
   ASSERT_GT(builder.size(), 0u);
   const std::string path = temp_path("pipeline.fdb");
   ASSERT_EQ(builder.write(path), "");
@@ -565,34 +572,30 @@ TEST(PipelineDatabase, ResultsAreBitIdenticalColdWarmOnOff) {
   // Warm: serve from the database via PipelineOptions.database_path. The
   // result must be bit-identical and verify-on-compile must certify the
   // DB-served circuits like any other.
-  core::PipelineOptions warm_opt = popt;
-  warm_opt.database_path = path;
-  core::CompilePipeline warm(warm_opt);
+  core::CompilePipeline warm({.workers = 2, .database_path = path});
   ASSERT_NE(warm.database(), nullptr);
-  const core::MultiStartResult served =
-      warm.compile_best(f.n, f.terms, options);
-  expect_identical(baseline.best, served.best);
-  EXPECT_TRUE(served.all_verified());
+  expect_identical(baseline, verified_best(warm, f));
   EXPECT_GT(warm.cache().stats().l2_hits, 0u);
   EXPECT_EQ(warm.cache().stats().misses, 0u);
 
   // Warm again on the same pipeline: pure L1 now, still identical.
-  const core::MultiStartResult again =
-      warm.compile_best(f.n, f.terms, options);
-  expect_identical(baseline.best, again.best);
+  expect_identical(baseline, verified_best(warm, f));
 }
 
-TEST(PipelineDatabase, BoundedCacheKeepsPipelineResultsIdentical) {
+TEST(SynthesisCache, BoundedCacheKeepsCompileResultsIdentical) {
+  // A budget so tight nothing stays resident changes only what the memo
+  // keeps, never what a compile emits.
   const Fixture& f = h2();
-  const core::CompileOptions options = fast_options();
-  core::PipelineOptions popt{.workers = 2, .restarts = 1};
-  core::CompilePipeline unbounded(popt);
-  core::PipelineOptions tight = popt;
-  tight.cache_budget = {/*max_bytes=*/1, /*max_entries=*/0};
-  core::CompilePipeline bounded(tight);
-  expect_identical(unbounded.compile_best(f.n, f.terms, options).best,
-                   bounded.compile_best(f.n, f.terms, options).best);
-  EXPECT_EQ(bounded.cache().size(), 0u);
+  synth::SynthesisCache unbounded;
+  synth::SynthesisCache tight({/*max_bytes=*/1, /*max_entries=*/0});
+  core::CompileOptions options = fast_options();
+  options.synthesis_cache = &unbounded;
+  const core::CompileResult a = core::compile_vqe(f.n, f.terms, options);
+  options.synthesis_cache = &tight;
+  const core::CompileResult b = core::compile_vqe(f.n, f.terms, options);
+  expect_identical(a, b);
+  EXPECT_GT(unbounded.size(), 0u);
+  EXPECT_EQ(tight.size(), 0u);
 }
 
 TEST(PipelineDatabase, MissingDatabaseFileDiesLoudly) {

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "chem/integrals.hpp"
@@ -247,48 +249,60 @@ TEST(SynthesisCache, ConcurrentHitMissStatsStayConsistent) {
   EXPECT_EQ(cache.size(), sequences.size());
 }
 
+core::CompileScenario scenario(const std::string& name, const Fixture& f) {
+  return {name, f.n, f.terms, fast_options()};
+}
+
+/// pipeline.compile(request), expecting every restart job to run. A
+/// rejected request still returns one (empty) outcome per cell, so the
+/// caller's checks fail instead of indexing past the end.
+core::CompileResponse compile_done(core::CompilePipeline& pipeline,
+                                   const core::CompileRequest& request) {
+  core::CompileResponse response = pipeline.compile(request);
+  EXPECT_TRUE(response.done())
+      << core::to_string(response.status) << ": " << response.detail;
+  response.outcomes.resize(
+      request.scenarios.size() *
+      (request.targets.empty() ? 1 : request.targets.size()));
+  return response;
+}
+
 TEST(Pipeline, VerifyOnCertifiesEveryRestartAndScenario) {
-  const Fixture& f = lih();
-  core::PipelineOptions pipe_options;
-  pipe_options.workers = 4;
-  pipe_options.restarts = 3;
-  pipe_options.verify = true;
-  core::CompilePipeline pipeline(pipe_options);
-  const core::MultiStartResult multi =
-      pipeline.compile_best(f.n, f.terms, fast_options());
+  const core::CompileScenario s = scenario("lih", lih());
+  core::CompilePipeline pipeline({.workers = 4});
+  const core::CompileResponse one = compile_done(
+      pipeline, {.scenarios = {s}, .restarts = 3, .verify = true});
+  ASSERT_EQ(one.outcomes.size(), 1u);
+  const core::MultiStartResult& multi = one.outcomes[0].result;
   ASSERT_EQ(multi.verification.size(), 3u);
   EXPECT_TRUE(multi.all_verified());
   for (const auto& report : multi.verification)
     EXPECT_TRUE(report.equivalent()) << report.to_string();
 
-  // Batch-best: per-scenario verification slices, all certified, shared
+  // Two scenarios: per-scenario verification slices, all certified, shared
   // synthesis cache in heavy concurrent use.
-  core::CompileScenario s;
-  s.name = "lih";
-  s.num_qubits = f.n;
-  s.terms = f.terms;
-  s.options = fast_options();
-  const auto batch = pipeline.compile_batch_best({s, s});
-  ASSERT_EQ(batch.size(), 2u);
-  for (const auto& b : batch) {
-    ASSERT_EQ(b.verification.size(), 3u);
-    EXPECT_TRUE(b.all_verified());
+  const core::CompileResponse batch = compile_done(
+      pipeline, {.scenarios = {s, s}, .restarts = 3, .verify = true});
+  ASSERT_EQ(batch.outcomes.size(), 2u);
+  for (const core::ScenarioOutcome& oc : batch.outcomes) {
+    ASSERT_EQ(oc.result.verification.size(), 3u);
+    EXPECT_TRUE(oc.result.all_verified());
   }
-  EXPECT_EQ(pipeline.last_verification().size(), 6u);
   EXPECT_GT(pipeline.cache().stats().hits, 0u);
 }
 
 TEST(Pipeline, VerifyOnDoesNotChangeResults) {
-  const Fixture& f = h2();
-  const core::CompileOptions options = fast_options();
-  core::CompilePipeline plain({.workers = 2, .restarts = 2});
-  core::PipelineOptions verified_options;
-  verified_options.workers = 2;
-  verified_options.restarts = 2;
-  verified_options.verify = true;
-  core::CompilePipeline verified(verified_options);
-  const auto a = plain.compile_best(f.n, f.terms, options);
-  const auto b = verified.compile_best(f.n, f.terms, options);
+  const core::CompileScenario s = scenario("h2", h2());
+  core::CompilePipeline plain({.workers = 2});
+  core::CompilePipeline verified({.workers = 2});
+  const core::MultiStartResult a =
+      compile_done(plain, {.scenarios = {s}, .restarts = 2})
+          .outcomes[0]
+          .result;
+  const core::MultiStartResult b =
+      compile_done(verified, {.scenarios = {s}, .restarts = 2, .verify = true})
+          .outcomes[0]
+          .result;
   EXPECT_EQ(a.best_restart, b.best_restart);
   expect_identical(a.best, b.best);
   EXPECT_TRUE(a.verification.empty());  // off by default
@@ -298,12 +312,13 @@ TEST(Pipeline, VerifyOnDoesNotChangeResults) {
 TEST(Pipeline, ThreadCountInvariance) {
   // 1, 2, and 8 workers must produce bit-identical best plans (gamma, term
   // order, CNOT counts, and the emitted gate stream) for one master seed.
-  const Fixture& f = lih();
-  const core::CompileOptions options = fast_options();
+  const core::CompileScenario s = scenario("lih", lih());
   std::vector<core::MultiStartResult> results;
   for (std::size_t workers : {1u, 2u, 8u}) {
-    core::CompilePipeline pipeline({.workers = workers, .restarts = 4});
-    results.push_back(pipeline.compile_best(f.n, f.terms, options));
+    core::CompilePipeline pipeline({.workers = workers});
+    results.push_back(compile_done(pipeline, {.scenarios = {s}, .restarts = 4})
+                          .outcomes[0]
+                          .result);
   }
   for (std::size_t k = 1; k < results.size(); ++k) {
     EXPECT_EQ(results[k].best_restart, results[0].best_restart);
@@ -318,127 +333,66 @@ TEST(Pipeline, ThreadCountInvariance) {
 }
 
 TEST(Pipeline, MultiRestartNeverWorseThanSingleShot) {
-  const Fixture& f = lih();
-  const core::CompileOptions options = fast_options();
-  const core::CompileResult single = core::compile_vqe(f.n, f.terms, options);
-  core::CompilePipeline pipeline({.workers = 2, .restarts = 4});
+  const core::CompileScenario s = scenario("lih", lih());
+  const core::CompileResult single =
+      core::compile_vqe(s.num_qubits, s.terms, s.options);
+  core::CompilePipeline pipeline({.workers = 2});
   const core::MultiStartResult multi =
-      pipeline.compile_best(f.n, f.terms, options);
+      compile_done(pipeline, {.scenarios = {s}, .restarts = 4})
+          .outcomes[0]
+          .result;
   EXPECT_LE(multi.best.model_cnots, single.model_cnots);
   // Restart 0 runs the master seed itself, reproducing single-shot exactly.
-  ASSERT_GE(multi.restarts.size(), 1u);
-  EXPECT_EQ(multi.restarts[0].seed, options.seed);
+  ASSERT_EQ(multi.restarts.size(), 4u);
+  EXPECT_EQ(multi.restarts[0].seed, s.options.seed);
   EXPECT_EQ(multi.restarts[0].model_cnots, single.model_cnots);
 }
 
 TEST(Pipeline, BatchOutputOrderMatchesInputScenarioOrder) {
-  const Fixture& small = h2();
-  const Fixture& big = lih();
-  std::vector<core::CompileScenario> scenarios;
-  {
-    core::CompileScenario s;
-    s.name = "lih-advanced";
-    s.num_qubits = big.n;
-    s.terms = big.terms;
-    s.options = fast_options();
-    scenarios.push_back(s);
-  }
-  {
-    core::CompileScenario s;
-    s.name = "h2-jw-baseline";
-    s.num_qubits = small.n;
-    s.terms = small.terms;
-    s.options = fast_options();
-    s.options.transform = core::TransformKind::kJordanWigner;
-    s.options.sorting = core::SortingMode::kBaseline;
-    s.options.compression = core::CompressionMode::kBosonicOnly;
-    scenarios.push_back(s);
-  }
-  {
-    core::CompileScenario s;
-    s.name = "h2-advanced";
-    s.num_qubits = small.n;
-    s.terms = small.terms;
-    s.options = fast_options();
-    scenarios.push_back(s);
-  }
-  core::CompilePipeline pipeline({.workers = 4, .restarts = 1});
-  const std::vector<core::CompileResult> results =
-      pipeline.compile_batch(scenarios);
-  ASSERT_EQ(results.size(), scenarios.size());
+  std::vector<core::CompileScenario> scenarios = {
+      scenario("lih-advanced", lih()), scenario("h2-jw-baseline", h2()),
+      scenario("h2-advanced", h2())};
+  scenarios[1].options.transform = core::TransformKind::kJordanWigner;
+  scenarios[1].options.sorting = core::SortingMode::kBaseline;
+  scenarios[1].options.compression = core::CompressionMode::kBosonicOnly;
+  core::CompilePipeline pipeline({.workers = 4});
+  const core::CompileResponse response =
+      compile_done(pipeline, {.scenarios = scenarios});
+  ASSERT_EQ(response.outcomes.size(), scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    EXPECT_EQ(response.outcomes[i].scenario, scenarios[i].name);
     const core::CompileResult direct = core::compile_vqe(
         scenarios[i].num_qubits, scenarios[i].terms, scenarios[i].options);
-    expect_identical(results[i], direct);
+    expect_identical(response.outcomes[i].result.best, direct);
   }
 }
 
-TEST(Pipeline, BatchBestAgreesWithCompileBest) {
-  const Fixture& f = h2();
-  core::CompileScenario s;
-  s.name = "h2";
-  s.num_qubits = f.n;
-  s.terms = f.terms;
-  s.options = fast_options();
-  core::CompilePipeline pipeline({.workers = 2, .restarts = 3});
-  const auto batch = pipeline.compile_batch_best({s, s});
-  const auto single = pipeline.compile_best(f.n, f.terms, s.options);
-  ASSERT_EQ(batch.size(), 2u);
-  for (const auto& b : batch) {
-    EXPECT_EQ(b.best_restart, single.best_restart);
-    expect_identical(b.best, single.best);
+TEST(Pipeline, MultiScenarioRequestEqualsPerScenarioRequests) {
+  // Sharing one job queue (and one synthesis cache) across scenarios must
+  // not change any scenario's restart winner or plan.
+  std::vector<core::CompileScenario> scenarios = {scenario("h2", h2()),
+                                                  scenario("h2-jw", h2()),
+                                                  scenario("h2-again", h2())};
+  scenarios[1].options.transform = core::TransformKind::kJordanWigner;
+  core::CompilePipeline pipeline({.workers = 2});
+  const core::CompileResponse batch =
+      compile_done(pipeline, {.scenarios = scenarios, .restarts = 3});
+  ASSERT_EQ(batch.outcomes.size(), scenarios.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    core::CompilePipeline fresh({.workers = 2});
+    const core::CompileResponse single =
+        compile_done(fresh, {.scenarios = {scenarios[i]}, .restarts = 3});
+    const core::MultiStartResult& a = batch.outcomes[i].result;
+    const core::MultiStartResult& b = single.outcomes[0].result;
+    EXPECT_EQ(a.best_restart, b.best_restart) << scenarios[i].name;
+    ASSERT_EQ(a.restarts.size(), b.restarts.size());
+    for (std::size_t r = 0; r < a.restarts.size(); ++r)
+      EXPECT_EQ(a.restarts[r].model_cnots, b.restarts[r].model_cnots);
+    expect_identical(a.best, b.best);
   }
 }
 
-// --- the unified CompileRequest entry point ---------------------------------
-
-TEST(Pipeline, AdaptersAreThinWrappersOverCompileRequest) {
-  const Fixture& f = h2();
-  core::CompileScenario s;
-  s.name = "h2";
-  s.num_qubits = f.n;
-  s.terms = f.terms;
-  s.options = fast_options();
-  core::CompilePipeline pipeline({.workers = 2, .restarts = 3});
-
-  // Every legacy adapter must produce the exact plans the request form
-  // produces -- they are documentation-preserving shims, not code paths.
-  const core::CompileResponse response =
-      pipeline.compile({.scenarios = {s}, .restarts = 3});
-  ASSERT_TRUE(response.done());
-  ASSERT_EQ(response.outcomes.size(), 1u);
-  EXPECT_EQ(response.outcomes[0].restarts_completed, 3u);
-
-  const core::MultiStartResult via_best =
-      pipeline.compile_best(f.n, f.terms, s.options);
-  expect_identical(response.outcomes[0].result.best, via_best.best);
-  EXPECT_EQ(response.outcomes[0].result.best_restart, via_best.best_restart);
-
-  const core::CompileResponse one_restart =
-      pipeline.compile({.scenarios = {s}, .restarts = 1});
-  ASSERT_TRUE(one_restart.done());
-  const std::vector<core::CompileResult> via_batch =
-      pipeline.compile_batch({s});
-  expect_identical(one_restart.outcomes[0].result.best, via_batch[0]);
-
-  const core::CompileResponse targeted = pipeline.compile({
-      .scenarios = {s},
-      .targets = {synth::HardwareTarget::all_to_all_cnot(),
-                  synth::HardwareTarget::trapped_ion_xx()},
-      .restarts = 3,
-  });
-  ASSERT_TRUE(targeted.done());
-  ASSERT_EQ(targeted.outcomes.size(), 2u);
-  const auto via_targets = pipeline.compile_best_for_targets(
-      f.n, f.terms, s.options,
-      {synth::HardwareTarget::all_to_all_cnot(),
-       synth::HardwareTarget::trapped_ion_xx()});
-  for (std::size_t t = 0; t < 2; ++t) {
-    EXPECT_EQ(targeted.outcomes[t].target.name, via_targets[t].target.name);
-    expect_identical(targeted.outcomes[t].result.best,
-                     via_targets[t].result.best);
-  }
-}
+// --- the CompileRequest entry point ------------------------------------------
 
 TEST(Pipeline, CompileRequestRejectsInvalidInputWithDiagnostic) {
   core::CompilePipeline pipeline({.workers = 2});
@@ -464,6 +418,60 @@ TEST(Pipeline, CompileRequestRejectsInvalidInputWithDiagnostic) {
   EXPECT_EQ(bad_target.status, core::RequestStatus::kRejected);
   EXPECT_NE(bad_target.detail.find(bad.name), std::string::npos)
       << "diagnostic must name the offending scenario: " << bad_target.detail;
+
+  // Terms the compiler would abort on: every orbital must be a qubit, and
+  // a double must be in make_double's form (built by hand here, as the
+  // wire decoder does, since make_double itself refuses or reorders them).
+  const auto raw_double = [](std::size_t p, std::size_t q, std::size_t r,
+                             std::size_t s) {
+    fermion::ExcitationTerm t;
+    t.kind = fermion::ExcitationTerm::Kind::kDouble;
+    t.p = p;
+    t.q = q;
+    t.r = r;
+    t.s = s;
+    return t;
+  };
+  ASSERT_EQ(s.num_qubits, 4u);
+  const std::size_t k = s.terms.size();  // index of the appended bad term
+  const struct {
+    fermion::ExcitationTerm term;
+    std::string want;
+  } term_rows[] = {
+      {fermion::ExcitationTerm::single(9, 0), "orbital 9 is out of range"},
+      {fermion::ExcitationTerm::single(2, 4), "orbital 4 is out of range"},
+      {raw_double(2, 3, 0, 4), "orbital 4 is out of range"},
+      {raw_double(2, 2, 0, 1), "repeats orbital 2"},
+      {raw_double(2, 3, 1, 1), "repeats orbital 1"},
+      {raw_double(3, 2, 0, 1), "must be ascending"},
+      {raw_double(2, 3, 1, 0), "must be ascending"},
+      {raw_double(0, 1, 0, 1), "same pair (0, 1)"},
+  };
+  for (const auto& row : term_rows) {
+    core::CompileScenario bad_term = s;
+    bad_term.terms.push_back(row.term);
+    const core::CompileResponse r = pipeline.compile({.scenarios = {bad_term}});
+    EXPECT_EQ(r.status, core::RequestStatus::kRejected) << row.want;
+    for (const std::string& part :
+         {std::string("scenario 'h2'"), "term " + std::to_string(k) + ":",
+          row.want})
+      EXPECT_NE(r.detail.find(part), std::string::npos)
+          << "missing '" << part << "' in: " << r.detail;
+  }
+
+  // Deadlines the steady clock cannot represent are rejected up front
+  // instead of overflowing into an instant DEADLINE_EXCEEDED.
+  for (const double deadline :
+       {1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), -1.0,
+        2.0 * core::max_deadline_s()}) {
+    const core::CompileResponse r =
+        pipeline.compile({.scenarios = {s}, .deadline_s = deadline});
+    EXPECT_EQ(r.status, core::RequestStatus::kRejected) << deadline;
+    EXPECT_NE(r.detail.find("deadline_s"), std::string::npos) << r.detail;
+  }
+  // A long but representable budget (~31 years) is an ordinary request.
+  EXPECT_TRUE(pipeline.compile({.scenarios = {s}, .deadline_s = 1e9}).done());
 }
 
 TEST(Pipeline, CompileRequestHonorsCancelAndDeadline) {

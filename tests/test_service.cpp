@@ -563,12 +563,56 @@ TEST(ServiceSocket, LoopbackCompileMatchesInProcess) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_NE(reply->find("unknown request id"), std::string::npos);
 
+  // Requests the compiler cannot take (an orbital past num_qubits would
+  // abort it mid-serve) are REJECTED with a specific detail, and the daemon
+  // goes on serving the compile below.
+  std::string err;
+  core::CompileRequest bad_term = tiny_request("bad-term");
+  bad_term.scenarios[0].terms.push_back(fermion::ExcitationTerm::single(9, 0));
+  auto rejected = client.compile(bad_term, "t1", err);
+  ASSERT_TRUE(rejected.has_value()) << err;
+  EXPECT_EQ(rejected->state, RequestState::kRejected);
+  EXPECT_NE(rejected->response.detail.find("'bad-term': term 3: orbital 9"),
+            std::string::npos)
+      << rejected->response.detail;
+
+  // A finite deadline too large to add to the steady clock.
+  core::CompileRequest far = tiny_request("far-deadline");
+  far.deadline_s = 1e300;
+  rejected = client.compile(far, "t2", err);
+  ASSERT_TRUE(rejected.has_value()) << err;
+  EXPECT_EQ(rejected->state, RequestState::kRejected);
+  EXPECT_NE(rejected->response.detail.find("deadline_s"), std::string::npos)
+      << rejected->response.detail;
+
+  // 1e400 overflows to infinity in the wire decoder.
+  service::json::Value envelope = service::json::Value::object();
+  envelope.set("op", service::json::Value::string("compile"));
+  envelope.set("id", service::json::Value::string("t3"));
+  envelope.set("request", service::protocol::encode_request(
+                              tiny_request("inf-deadline")));
+  std::string line = envelope.encode();
+  const std::size_t at = line.find("\"deadline_s\":0");
+  ASSERT_NE(at, std::string::npos) << line;
+  line.replace(at, std::string("\"deadline_s\":0").size(),
+               "\"deadline_s\":1e400");
+  ASSERT_TRUE(client.connection().send_line(line));
+  std::string replies;  // the ack and the result, in either order
+  for (int i = 0; i < 2; ++i) {
+    const auto reply = client.connection().recv_line(5000);
+    ASSERT_TRUE(reply.has_value());
+    replies += *reply;
+  }
+  EXPECT_NE(replies.find("\"state\":\"REJECTED\""), std::string::npos)
+      << replies;
+  EXPECT_NE(replies.find("deadline_s must be finite"), std::string::npos)
+      << replies;
+
   core::CompileRequest request = tiny_request("loopback", 2);
   request.verify = true;
   core::CompilePipeline reference({.workers = 2});
   const std::string expected = canonical(reference.compile(request));
 
-  std::string err;
   const auto served = client.compile(request, "r1", err,
                                      /*include_circuit=*/true);
   ASSERT_TRUE(served.has_value()) << err;

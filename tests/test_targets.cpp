@@ -361,14 +361,6 @@ TEST(Validation, CompileOptionDiagnosticsAreSpecific) {
   opt.gtsp_options.mutation_rate = 1.5;
   EXPECT_NE(core::validate_options(4, opt).find("mutation_rate"),
             std::string::npos);
-
-  core::PipelineOptions po;
-  po.restarts = 0;
-  EXPECT_NE(po.validate().find("restarts"), std::string::npos);
-  po = core::PipelineOptions{};
-  po.verify = true;
-  po.verify_options.dense_trials = 0;
-  EXPECT_NE(po.validate().find("dense_trials"), std::string::npos);
 }
 
 // ---- compile-stack integration --------------------------------------------
@@ -431,25 +423,30 @@ TEST(TargetCompile, DefaultTargetIsBitIdenticalAnchor) {
 
 TEST(TargetCompile, AllThreeTargetsCompileAndCertify) {
   const WaterFixture& f = water(4);
-  core::CompileOptions base = fast_options();
-  core::PipelineOptions po{.workers = 2, .restarts = 2};
-  po.verify = true;
-  core::CompilePipeline pipeline(po);
+  const core::CompileScenario s{"water4", f.n, f.terms, fast_options()};
+  core::CompilePipeline pipeline({.workers = 2});
   const std::vector<HardwareTarget> targets = {
       HardwareTarget::all_to_all_cnot(),
       HardwareTarget::trapped_ion_xx(),
       HardwareTarget::linear_nn(f.n),
   };
-  const auto results =
-      pipeline.compile_best_for_targets(f.n, f.terms, base, targets);
+  const core::CompileResponse response = pipeline.compile(
+      {.scenarios = {s}, .targets = targets, .restarts = 2, .verify = true});
+  ASSERT_TRUE(response.done()) << response.detail;
+  const std::vector<core::ScenarioOutcome>& results = response.outcomes;
   ASSERT_EQ(results.size(), 3u);
-  for (const core::TargetCompileResult& r : results) {
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const core::ScenarioOutcome& r = results[t];
+    EXPECT_EQ(r.target.name, targets[t].name);
     EXPECT_TRUE(r.result.all_verified()) << r.target.name;
     for (const verify::EquivalenceReport& v : r.result.verification)
       EXPECT_TRUE(v.equivalent()) << r.target.name << ": " << v.to_string();
   }
-  // The all-to-all restart winner matches a plain compile_best run.
-  const auto plain = pipeline.compile_best(f.n, f.terms, base);
+  // The all-to-all cell matches a request without a target fan-out.
+  const core::CompileResponse plain_response =
+      pipeline.compile({.scenarios = {s}, .restarts = 2, .verify = true});
+  ASSERT_TRUE(plain_response.done()) << plain_response.detail;
+  const core::MultiStartResult& plain = plain_response.outcomes[0].result;
   EXPECT_EQ(results[0].result.best.model_cnots, plain.best.model_cnots);
   EXPECT_EQ(results[0].result.best_restart, plain.best_restart);
   EXPECT_TRUE(results[0].result.best.circuit.gates() ==

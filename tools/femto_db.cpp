@@ -145,22 +145,18 @@ int cmd_build(int argc, char** argv) {
       return usage();
     }
   }
-  core::PipelineOptions popt;
-  popt.workers = workers;
-  popt.restarts = restarts;
-  core::CompilePipeline pipeline(popt);
+  core::CompilePipeline pipeline({.workers = workers});
   pipeline.set_store(&builder);
-  const auto results = restarts > 1
-                           ? [&] {
-                               std::vector<core::CompileResult> out;
-                               for (auto& m : pipeline.compile_batch_best(scenarios))
-                                 out.push_back(std::move(m.best));
-                               return out;
-                             }()
-                           : pipeline.compile_batch(scenarios);
-  for (std::size_t i = 0; i < scenarios.size(); ++i)
-    std::printf("  %-12s model CNOTs %d\n", scenarios[i].name.c_str(),
-                results[i].model_cnots);
+  const core::CompileResponse response =
+      pipeline.compile({.scenarios = scenarios, .restarts = restarts});
+  if (!response.done()) {
+    std::fprintf(stderr, "femto-db: compile %s: %s\n",
+                 core::to_string(response.status), response.detail.c_str());
+    return 2;
+  }
+  for (const core::ScenarioOutcome& oc : response.outcomes)
+    std::printf("  %-12s model CNOTs %d\n", oc.scenario.c_str(),
+                oc.result.best.model_cnots);
 
   if (const std::string err = builder.write(out_path); !err.empty()) {
     std::fprintf(stderr, "femto-db: %s\n", err.c_str());

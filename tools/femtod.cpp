@@ -105,9 +105,6 @@ int main(int argc, char** argv) {
   }
   if (socket_path.empty() || service_options.max_queue == 0) return usage();
   service_options.log = log;
-  // Per-request knobs (restarts, verify, seed) arrive on the wire; the
-  // pipeline-level defaults only matter for the adapter API, not femtod.
-  service_options.pipeline.restarts = 1;
 
   if (!service_options.trace_dir.empty()) {
     // Create the directory up front so the first trace write cannot fail
