@@ -16,6 +16,14 @@
 //   info_fast_term_cost_speedup
 //                           Table-driven fast_term_cost vs the scalar
 //                           reference loop (informational).
+//   gt_real_cost_speedup    The GT baseline's real-cost objective on the
+//                           water(14) block table over a fixed set of
+//                           PSO-style Gamma candidates (upper-triangular
+//                           times a level-labeling permutation): the
+//                           LinearEncoding + per-target Held-Karp oracle of
+//                           tests/oracles/gt_reference.hpp vs the phase-free
+//                           map + shared-table Held-Karp production path.
+//                           Gated >= 2.5x.
 //
 // Every comparison also asserts the two paths produce IDENTICAL results --
 // the speedups are only meaningful because the fast paths are bit-identical.
@@ -29,6 +37,7 @@
 #include "common/simd.hpp"
 #include "core/compiler.hpp"
 #include "gf2/wordops.hpp"
+#include "oracles/gt_reference.hpp"
 #include "transform/linear_encoding.hpp"
 
 namespace {
@@ -69,6 +78,24 @@ std::vector<Move> random_moves(
     moves.push_back({src, dst});
   }
   return moves;
+}
+
+/// PSO-style GT candidates: a random upper-triangular unit-diagonal matrix
+/// (what binary PSO decodes) times a random level-labeling permutation.
+std::vector<gf2::Matrix> gt_candidates(std::size_t n, std::size_t count,
+                                       Rng& rng) {
+  std::vector<gf2::Matrix> out;
+  for (std::size_t k = 0; k < count; ++k) {
+    gf2::Matrix ut = gf2::Matrix::identity(n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j) ut.set(i, j, rng.bernoulli(0.5));
+    std::vector<std::size_t> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    for (std::size_t i = n; i-- > 1;)
+      std::swap(perm[i], perm[rng.index(i + 1)]);
+    out.push_back(ut.multiply(gf2::Matrix::permutation(perm)));
+  }
+  return out;
 }
 
 }  // namespace
@@ -175,6 +202,25 @@ int main() {
   });
   FEMTO_ASSERT(sum_new == sum_ref);
 
+  // ---- GT real-cost objective: oracle vs phase-free shared-table path ----
+  const core::CompileOptions gt_options =
+      bench::table1_column_options("GT", fixture.terms.size());
+  Rng gt_rng(31);
+  const std::vector<gf2::Matrix> gt_gammas = gt_candidates(n, 40, gt_rng);
+  std::vector<int> gt_ref_costs(gt_gammas.size());
+  std::vector<int> gt_fast_costs(gt_gammas.size());
+  const double t_gt_ref = h.run("compile_hot/gt_real_cost_reference", 3, [&] {
+    for (std::size_t k = 0; k < gt_gammas.size(); ++k)
+      gt_ref_costs[k] = oracles::real_fermionic_cost_reference(
+          gt_gammas[k], term_blocks, gt_options);
+  });
+  const double t_gt_fast = h.run("compile_hot/gt_real_cost_fast", 3, [&] {
+    for (std::size_t k = 0; k < gt_gammas.size(); ++k)
+      gt_fast_costs[k] = core::detail::fermionic_real_cost(
+          gt_gammas[k], term_blocks, gt_options, nullptr);
+  });
+  FEMTO_ASSERT(gt_ref_costs == gt_fast_costs);
+
   // ---- gf2 word-op reductions: forced-portable vs best SIMD level --------
   // The popcount/parity reductions behind the cost model (support_counts is
   // THE inner loop of interface_saving). 1024-bit vectors (16 words) -- wide
@@ -230,13 +276,15 @@ int main() {
   h.metric("gamma_eval_speedup", t_full / t_inc);
   h.metric("gtsp_ga_speedup", t_ref / t_dense);
   h.metric("info_fast_term_cost_speedup", t_cost_ref / t_cost_new);
+  h.metric("gt_real_cost_speedup", t_gt_ref / t_gt_fast);
   h.metric("simd_wordops_speedup", t_words_portable / t_words_best);
   h.metric("simd_bit_identical", wordops_identical);
   h.metric("info_simd_level", static_cast<double>(simd_best));
   std::printf(
       "[bench] gamma_eval %.1fx, gtsp_ga %.1fx, fast_term_cost %.1fx, "
-      "wordops simd %.1fx (identical: %.0f)\n",
+      "gt_real_cost %.1fx, wordops simd %.1fx (identical: %.0f)\n",
       t_full / t_inc, t_ref / t_dense, t_cost_ref / t_cost_new,
+      t_gt_ref / t_gt_fast,
       t_words_portable / t_words_best, wordops_identical);
   return h.write_json() ? 0 : 1;
 }

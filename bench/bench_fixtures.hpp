@@ -4,13 +4,13 @@
 // UCCSD/HMP2 pipeline per molecule, so bench_table1, bench_targets,
 // bench_solvers, bench_pipeline and bench_ablation_sorting all construct
 // their Hamiltonians the same way instead of each re-deriving the chain.
-// Build the fixture *before* handing work to a thread pool: the lazy static
-// init here is not guarded for concurrent first-touch of the same molecule.
+// The lazy caches are mutex-guarded, so any thread may touch a fixture first.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +35,9 @@ struct TermFixture {
 /// molecule name. The static-MP2 ranking reproduces the paper's Table I
 /// term choices (see bench_table1.cpp).
 inline const TermFixture& molecule_terms(const chem::Molecule& mol) {
+  static std::mutex mutex;
   static std::map<std::string, TermFixture> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(mol.name);
   if (it == cache.end()) {
     auto basis = chem::build_sto3g(mol);
@@ -70,8 +72,10 @@ inline TermFixture molecule_fixture(const chem::Molecule& mol, std::size_t ne) {
 /// by design), an out-of-range request here aborts: a silently shortened
 /// fixture would mislabel a committed bench baseline.
 inline const TermFixture& water_terms(std::size_t ne) {
+  static std::mutex mutex;
   static TermFixture fixtures[32];
   FEMTO_EXPECTS(ne < 32);
+  const std::lock_guard<std::mutex> lock(mutex);
   FEMTO_EXPECTS(ne <= molecule_terms(chem::make_h2o()).terms.size());
   TermFixture& f = fixtures[ne];
   if (f.n == 0) f = molecule_fixture(chem::make_h2o(), ne);

@@ -16,8 +16,12 @@
 //  * sort_advanced materializes the GTSP weights straight into a dense
 //    matrix (opt::GtspDense) -- no std::function, no hash-map memo -- and
 //    runs the allocation-free GA core.
-//  * held_karp_order runs on flat per-thread scratch with set-bit iteration
-//    over the subset masks.
+//  * sort_baseline counts each pair's support once per term and fills one
+//    Held-Karp weight table per candidate target from those counts (or from
+//    the device savings); the DP runs on flat per-thread scratch with set-bit
+//    iteration over the subset masks, and candidates that provably cannot
+//    win are skipped. tests/oracles/gt_reference.hpp keeps the per-target
+//    sorter this must match.
 //  * fast_term_cost builds an m x m best-shared-target savings table once
 //    (word-parallel closed form on the default model) and runs the greedy
 //    chain as table lookups; the historical scalar loop survives as
@@ -25,11 +29,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "core/rotation_blocks.hpp"
+#include "obs/metrics.hpp"
 #include "opt/gtsp.hpp"
 #include "synth/cost_model.hpp"
 
@@ -117,35 +123,23 @@ namespace femto::core {
 
 namespace detail {
 
-/// Exact best order of one term's blocks for a fixed shared target
-/// (Held-Karp over <= ~12 blocks). Returns ordered indices and the total
-/// savings along the path.
+/// Block indices in path order and the total savings along the path.
 struct IntraResult {
   std::vector<std::size_t> order;
   int savings = 0;
 };
 
-[[nodiscard]] inline IntraResult held_karp_order(
-    const std::vector<synth::RotationBlock>& blocks, std::size_t target,
-    const synth::HardwareTarget* hw = nullptr) {
-  const std::size_t m = blocks.size();
+/// Exact best order of one term's m <= 16 blocks (Held-Karp) on a
+/// caller-filled savings table. `wt` is column-major: wt[j*m + i] is the
+/// (non-negative) saving of block j following block i; the diagonal is
+/// never read.
+[[nodiscard]] inline IntraResult held_karp_order(const int* wt,
+                                                 std::size_t m) {
   FEMTO_EXPECTS(m >= 1 && m <= 16);
   // Flat per-thread scratch: this is the inner loop of the baseline-search
   // objective (one call per term per candidate target per candidate Gamma),
   // so the 2^m x m tables must not touch the allocator on the steady state.
-  static thread_local std::vector<int> wt, dp, parent;
-  // Column-major savings (wt[j*m + i] = saving of j following i) so the
-  // pull loop below reads both dp and weights sequentially.
-  wt.assign(m * m, 0);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < m; ++j)
-      if (i != j &&
-          !blocks[i].string.same_letters(blocks[j].string))
-        wt[j * m + i] = hw != nullptr
-                      ? synth::interface_saving(blocks[i].string, target,
-                                                blocks[j].string, target, *hw)
-                      : synth::interface_saving(blocks[i].string, target,
-                                                blocks[j].string, target);
+  static thread_local std::vector<int> dp, parent;
   const std::size_t full = std::size_t{1} << m;
   dp.resize(full * m);
   parent.resize(full * m);
@@ -167,7 +161,7 @@ struct IntraResult {
           static_cast<std::size_t>(__builtin_ctzll(rest));
       const std::size_t pm = mask ^ (std::size_t{1} << last);
       const int* dp_row = dp.data() + pm * m;
-      const int* w_col = wt.data() + last * m;
+      const int* w_col = wt + last * m;
       int best = -1;
       int best_prev = -1;
       for (std::size_t prev_bits = pm; prev_bits != 0;
@@ -220,50 +214,220 @@ struct IntraResult {
   return out;
 }
 
+/// Upper bound on the savings of any path through all m blocks of the
+/// column-major table `wt` (held_karp_order's layout, entries >= 0): the
+/// smaller of two relaxations. (1) Every block but the first has one
+/// predecessor, worth at most its best incoming saving. (2) Every block
+/// touches at most two path edges, each worth at most the larger of its two
+/// directions; the two ends touch one, so twice the savings is at most the
+/// sum of every block's two best edges less the two smallest second-best.
+[[nodiscard]] inline int path_savings_bound(const int* wt, std::size_t m) {
+  if (m < 2) return 0;
+  int in_sum = 0;
+  int in_min = std::numeric_limits<int>::max();
+  int edge_sum = 0;
+  int second_min = std::numeric_limits<int>::max();
+  int second_next = std::numeric_limits<int>::max();
+  for (std::size_t j = 0; j < m; ++j) {
+    int best_in = 0, first = 0, second = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i == j) continue;
+      best_in = std::max(best_in, wt[j * m + i]);
+      const int edge = std::max(wt[j * m + i], wt[i * m + j]);
+      if (edge > first) {
+        second = first;
+        first = edge;
+      } else if (edge > second) {
+        second = edge;
+      }
+    }
+    in_sum += best_in;
+    in_min = std::min(in_min, best_in);
+    edge_sum += first + second;
+    if (second < second_min) {
+      second_next = second_min;
+      second_min = second;
+    } else if (second < second_next) {
+      second_next = second;
+    }
+  }
+  return std::min(in_sum - in_min,
+                  (edge_sum - second_min - second_next) / 2);
+}
+
+/// One term of the baseline sort: its blocks in Held-Karp order with the
+/// targets assigned, and the shared target that order was solved for.
+struct TermPlan {
+  std::vector<synth::RotationBlock> ordered;
+  std::size_t target = 0;
+};
+
+/// Held-Karp work of one sort_baseline call.
+struct HeldKarpTally {
+  std::uint64_t runs = 0;
+  std::uint64_t skipped = 0;
+};
+
+/// Best shared target and exact intra-term order of one term: the first
+/// candidate (common targets, else the first block's support) whose
+/// Held-Karp savings, less the routing-aware string costs on constrained
+/// devices, is strictly largest. Blocks lacking support on a candidate keep
+/// their own target and save nothing against blocks on other targets.
+///
+/// One savings table per candidate, one DP: the default model fills the
+/// table from each pair's target-independent support counts (taken once per
+/// term) and the two letters at the shared target; a device fills it through
+/// interface_saving(..., *device). Two exact skips avoid DPs that cannot
+/// change the answer: a candidate whose table and string cost repeat an
+/// earlier candidate's has the same savings and so cannot strictly beat it
+/// (on the default model, any candidate whose letter column repeats an
+/// earlier one's), and one whose path_savings_bound, less its string cost,
+/// cannot beat the best found so far in (savings, first index) order.
+[[nodiscard]] inline TermPlan plan_term(
+    const std::vector<synth::RotationBlock>& blocks,
+    const synth::HardwareTarget* device, HeldKarpTally& tally) {
+  const std::size_t m = blocks.size();
+  FEMTO_EXPECTS(m >= 1 && m <= 16);
+  const bool constrained = device != nullptr && device->coupling.constrained();
+  std::vector<std::size_t> candidates = common_targets(blocks);
+  if (candidates.empty()) candidates = valid_targets(blocks[0]);
+  FEMTO_EXPECTS(!candidates.empty());
+
+  // Pair counts, symmetric; pairs with identical letters never save.
+  std::array<synth::detail::CommonSupport, 16 * 16> counts{};
+  std::array<bool, 16 * 16> distinct{};
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const pauli::PauliString& pi = blocks[i].string;
+      const pauli::PauliString& pj = blocks[j].string;
+      if (pi.same_letters(pj)) continue;
+      distinct[i * m + j] = distinct[j * m + i] = true;
+      if (device == nullptr)
+        counts[i * m + j] = counts[j * m + i] =
+            synth::detail::common_support_counts(pi.x(), pi.z(), pj.x(),
+                                                 pj.z());
+    }
+
+  // Blocks lacking support on the candidate keep their own target.
+  std::array<std::size_t, 16> targets{};
+  const auto assign_targets = [&](std::size_t t) {
+    for (std::size_t k = 0; k < m; ++k)
+      targets[k] = blocks[k].string.letter(t) != pauli::Letter::I
+                       ? t
+                       : blocks[k].target;
+  };
+
+  // Every candidate's table; the distinct ones are scored by their savings
+  // bound less their string cost.
+  struct Scored {
+    std::size_t index;  // into candidates
+    int bound;
+    int string_costs;
+  };
+  const std::size_t cells = m * m;
+  std::vector<int> tables(candidates.size() * cells);
+  std::vector<Scored> scored;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    assign_targets(candidates[c]);
+    int string_costs = 0;
+    if (constrained)
+      for (std::size_t k = 0; k < m; ++k)
+        string_costs +=
+            synth::string_cost(blocks[k].string, targets[k], *device);
+    int* wt = tables.data() + c * cells;
+    for (std::size_t j = 0; j < m; ++j)
+      for (std::size_t i = 0; i < m; ++i)
+        wt[j * m + i] =
+            !distinct[i * m + j] || targets[i] != targets[j] ? 0
+            : device != nullptr
+                ? synth::interface_saving(blocks[i].string, targets[i],
+                                          blocks[j].string, targets[j],
+                                          *device)
+                : synth::detail::interface_saving_from_counts(
+                      counts[i * m + j],
+                      blocks[i].string.letter(targets[i]),
+                      blocks[j].string.letter(targets[j]));
+    const bool repeat =
+        std::any_of(scored.begin(), scored.end(), [&](const Scored& s) {
+          return s.string_costs == string_costs &&
+                 std::equal(wt, wt + cells, tables.data() + s.index * cells);
+        });
+    if (repeat) {
+      ++tally.skipped;
+      continue;
+    }
+    scored.push_back(
+        {c, path_savings_bound(wt, m) - string_costs, string_costs});
+  }
+
+  // The answer is the first candidate with the largest savings, i.e. the
+  // lexicographic max of (savings, -index). Solving the most promising
+  // candidates first finds it early; a candidate whose bound cannot beat
+  // the best so far in that order is skipped, and once the (descending)
+  // bounds fall below the best savings every remaining one is.
+  std::sort(scored.begin(), scored.end(),
+            [](const Scored& a, const Scored& b) {
+              return a.bound != b.bound ? a.bound > b.bound : a.index < b.index;
+            });
+  int best_savings = std::numeric_limits<int>::min();
+  std::size_t best_index = candidates.size();
+  std::vector<std::size_t> best_order;
+  for (std::size_t k = 0; k < scored.size(); ++k) {
+    const Scored& s = scored[k];
+    if (s.bound < best_savings) {
+      tally.skipped += scored.size() - k;
+      break;
+    }
+    if (s.bound == best_savings && s.index > best_index) {
+      ++tally.skipped;
+      continue;
+    }
+    ++tally.runs;
+    IntraResult res = held_karp_order(tables.data() + s.index * cells, m);
+    const int savings = res.savings - s.string_costs;
+    if (savings > best_savings ||
+        (savings == best_savings && s.index < best_index)) {
+      best_savings = savings;
+      best_index = s.index;
+      best_order = std::move(res.order);
+    }
+  }
+  TermPlan plan;
+  plan.target = candidates[best_index];
+  assign_targets(plan.target);
+  plan.ordered.reserve(m);
+  for (std::size_t idx : best_order) {
+    plan.ordered.push_back(blocks[idx]);
+    plan.ordered.back().target = targets[idx];
+  }
+  return plan;
+}
+
 }  // namespace detail
 
-/// Baseline sort: per-term shared target + exact intra-term order, then
-/// doubly-greedy inter-term ordering (group by target, nearest-neighbor
-/// within and across groups). With a non-default HardwareTarget, savings are
-/// the device savings and the shared-target choice additionally weighs the
-/// routing-aware string costs (zero delta on unconstrained targets).
+/// Baseline sort: per-term shared target + exact intra-term order
+/// (detail::plan_term), then doubly-greedy inter-term ordering (group by
+/// target, nearest-neighbor within and across groups). With a non-default
+/// HardwareTarget, savings are the device savings and the shared-target
+/// choice additionally weighs the routing-aware string costs (zero delta on
+/// unconstrained targets). Held-Karp runs and skipped candidate targets are
+/// published to the metrics registry once per call.
 [[nodiscard]] inline std::vector<synth::RotationBlock> sort_baseline(
     const std::vector<std::vector<synth::RotationBlock>>& per_term,
     const synth::HardwareTarget* hw = nullptr) {
-  struct TermPlan {
-    std::vector<synth::RotationBlock> ordered;  // with targets assigned
-    std::size_t target = 0;
-  };
+  using detail::TermPlan;
   const synth::HardwareTarget* device =
       hw != nullptr && !hw->is_all_to_all_cnot() ? hw : nullptr;
+  detail::HeldKarpTally tally;
   std::vector<TermPlan> plans;
-  for (const auto& term_blocks : per_term) {
-    if (term_blocks.empty()) continue;
-    TermPlan best;
-    int best_savings = std::numeric_limits<int>::min();
-    std::vector<std::size_t> candidates = detail::common_targets(term_blocks);
-    if (candidates.empty()) candidates = valid_targets(term_blocks[0]);
-    for (std::size_t t : candidates) {
-      // Blocks lacking support on t keep their own first support qubit.
-      std::vector<synth::RotationBlock> with_target = term_blocks;
-      for (auto& b : with_target)
-        if (b.string.letter(t) != pauli::Letter::I) b.target = t;
-      const detail::IntraResult res =
-          detail::held_karp_order(with_target, t, device);
-      int savings = res.savings;
-      if (device != nullptr && device->coupling.constrained())
-        for (const auto& b : with_target)
-          savings -= synth::string_cost(b.string, b.target, *device);
-      if (savings > best_savings) {
-        best_savings = savings;
-        best.target = t;
-        best.ordered.clear();
-        for (std::size_t idx : res.order)
-          best.ordered.push_back(with_target[idx]);
-      }
-    }
-    plans.push_back(std::move(best));
-  }
+  for (const auto& term_blocks : per_term)
+    if (!term_blocks.empty())
+      plans.push_back(detail::plan_term(term_blocks, device, tally));
+  static obs::Counter& runs = obs::registry().counter("solver.held_karp_runs");
+  static obs::Counter& skipped =
+      obs::registry().counter("solver.held_karp_targets_skipped");
+  runs.inc(tally.runs);
+  skipped.inc(tally.skipped);
   // Group by shared target (descending group size), nearest-neighbor order
   // within each group using the real boundary savings.
   std::vector<std::vector<TermPlan>> groups;

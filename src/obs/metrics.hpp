@@ -20,6 +20,13 @@
 //                                     (bit-identical by purity)
 //              solver.sa_solves / solver.sa_steps
 //              solver.gtsp_solves / solver.gtsp_generations
+//              solver.gt_real_cost_evals / solver.gt_real_cost_memo_hits
+//                                     GT Gamma-search real-cost objective:
+//                                     uncached evaluations and memo hits
+//              solver.held_karp_runs / solver.held_karp_targets_skipped
+//                                     baseline-sort Held-Karp DPs run, and
+//                                     candidate targets skipped as provably
+//                                     unable to win
 //              service.submitted / service.coalesced / service.done /
 //              service.cancelled / service.deadline_exceeded /
 //              service.rejected / service.works_run / service.plans_served

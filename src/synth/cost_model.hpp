@@ -68,6 +68,18 @@ struct CommonSupport {
   return CommonSupport{c.common, c.equal};
 }
 
+/// Shared-target interface saving from a pair's target-independent support
+/// counts and the two letters at the shared target `a`, `b` (both
+/// non-identity): the target wire is always common, so drop it (and its
+/// equal-letter credit).
+[[nodiscard]] inline int interface_saving_from_counts(CommonSupport c,
+                                                      pauli::Letter a,
+                                                      pauli::Letter b) {
+  int saving = c.common - 1;
+  if (target_collision_good(a, b)) saving += c.equal - (a == b ? 1 : 0);
+  return saving;
+}
+
 }  // namespace detail
 
 /// Interface CNOT saving between consecutive blocks [p1,t1] then [p2,t2].
@@ -85,14 +97,9 @@ struct CommonSupport {
   if (t1 != t2) return 0;
   FEMTO_EXPECTS(p1.num_qubits() == p2.num_qubits());
   FEMTO_EXPECTS(p1.letter(t1) != Letter::I && p2.letter(t2) != Letter::I);
-  const bool good_target = target_collision_good(p1.letter(t1), p2.letter(t1));
-  const detail::CommonSupport c =
-      detail::common_support_counts(p1.x(), p1.z(), p2.x(), p2.z());
-  // The target wire is always common; drop it (and its equal-letter credit).
-  int saving = c.common - 1;
-  if (good_target)
-    saving += c.equal - (p1.letter(t1) == p2.letter(t1) ? 1 : 0);
-  return saving;
+  return detail::interface_saving_from_counts(
+      detail::common_support_counts(p1.x(), p1.z(), p2.x(), p2.z()),
+      p1.letter(t1), p2.letter(t1));
 }
 
 /// Best interface saving between two strings over every shared target

@@ -7,12 +7,19 @@
 //    (fermionic_fast_cost) over random elementary-move sequences,
 //  * anneal_gamma_fast vs the generic simulated-annealing driver on the
 //    same RNG stream,
-//  * the dense GTSP GA vs the preserved lazy reference solver.
+//  * the dense GTSP GA vs the preserved lazy reference solver,
+//  * the shared-table Held-Karp baseline sort and the phase-free real-cost
+//    objective vs the per-target / LinearEncoding oracles of
+//    tests/oracles/gt_reference.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "bench_fixtures.hpp"
 #include "core/compiler.hpp"
+#include "oracles/gt_reference.hpp"
 #include "transform/linear_encoding.hpp"
 
 namespace femto {
@@ -340,6 +347,20 @@ TEST(DenseGtsp, RestartsShareOneMatrixAndMatchSerial) {
   EXPECT_EQ(multi.value, best.value);
 }
 
+/// Column-major shared-target savings table (wt[j*m + i] = saving of j
+/// following i) of blocks that all carry support on `target`.
+std::vector<int> shared_target_table(
+    const std::vector<synth::RotationBlock>& blocks, std::size_t target) {
+  const std::size_t m = blocks.size();
+  std::vector<int> wt(m * m, 0);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j)
+      if (i != j && !blocks[i].string.same_letters(blocks[j].string))
+        wt[j * m + i] = synth::interface_saving(blocks[i].string, target,
+                                                blocks[j].string, target);
+  return wt;
+}
+
 TEST(HeldKarp, PullDpMatchesBruteForceOnSmallTerms) {
   Rng rng(109);
   for (int rep = 0; rep < 40; ++rep) {
@@ -354,7 +375,8 @@ TEST(HeldKarp, PullDpMatchesBruteForceOnSmallTerms) {
       if (b.string.letter(0) == Letter::I) b.string.set_letter(0, Letter::X);
       b.target = 0;
     }
-    const auto res = core::detail::held_karp_order(blocks, target);
+    const std::vector<int> wt = shared_target_table(blocks, target);
+    const auto res = core::detail::held_karp_order(wt.data(), m);
     // Brute force the maximum path savings.
     std::vector<std::size_t> perm(m);
     for (std::size_t i = 0; i < m; ++i) perm[i] = i;
@@ -379,6 +401,211 @@ TEST(HeldKarp, PullDpMatchesBruteForceOnSmallTerms) {
                                             blocks[res.order[k + 1]].string,
                                             target);
     EXPECT_EQ(realized, best) << "rep " << rep;
+    EXPECT_GE(core::detail::path_savings_bound(wt.data(), m), best)
+        << "rep " << rep;
+  }
+}
+
+TEST(HeldKarp, ExactAndBoundedOnAsymmetricTables) {
+  // Device savings need not be symmetric: the DP must still find the best
+  // directed path, and path_savings_bound must never undercut it.
+  Rng rng(115);
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::size_t m = 1 + rng.index(6);
+    std::vector<int> wt(m * m, 0);
+    for (std::size_t j = 0; j < m; ++j)
+      for (std::size_t i = 0; i < m; ++i)
+        if (i != j) wt[j * m + i] = static_cast<int>(rng.index(10));
+    std::vector<std::size_t> perm(m);
+    for (std::size_t i = 0; i < m; ++i) perm[i] = i;
+    int best = -1;
+    do {
+      int savings = 0;
+      for (std::size_t k = 0; k + 1 < m; ++k)
+        savings += wt[perm[k + 1] * m + perm[k]];
+      best = std::max(best, savings);
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    const auto res = core::detail::held_karp_order(wt.data(), m);
+    EXPECT_EQ(res.savings, best) << "rep " << rep;
+    int realized = 0;
+    for (std::size_t k = 0; k + 1 < m; ++k)
+      realized += wt[res.order[k + 1] * m + res.order[k]];
+    EXPECT_EQ(realized, best) << "rep " << rep;
+    EXPECT_GE(core::detail::path_savings_bound(wt.data(), m), best)
+        << "rep " << rep;
+  }
+}
+
+/// The production baseline sort must return exactly the oracle's blocks:
+/// same strings (letters and phase), targets, angles, parameters, order.
+void expect_sort_baseline_matches_oracle(
+    const std::vector<std::vector<synth::RotationBlock>>& per_term,
+    const synth::HardwareTarget* hw, const std::string& where) {
+  const auto got = core::sort_baseline(per_term, hw);
+  const auto want = oracles::sort_baseline_reference(per_term, hw);
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_TRUE(got[k].string == want[k].string) << where << " slot " << k;
+    EXPECT_EQ(got[k].target, want[k].target) << where << " slot " << k;
+    EXPECT_EQ(got[k].param, want[k].param) << where << " slot " << k;
+    EXPECT_EQ(got[k].angle_coeff, want[k].angle_coeff)
+        << where << " slot " << k;
+  }
+}
+
+/// Random terms of 1..8 blocks sharing `shared` common qubits (the shape of
+/// one excitation's strings); letters there are drawn from a small alphabet
+/// so candidate targets often repeat a letter column.
+std::vector<std::vector<synth::RotationBlock>> random_shared_terms(
+    std::size_t n, std::size_t count, std::size_t shared, Rng& rng) {
+  std::vector<std::vector<synth::RotationBlock>> per_term;
+  int param = 0;
+  for (std::size_t t = 0; t < count; ++t) {
+    auto blocks = random_blocks(n, 1 + rng.index(8), rng);
+    std::vector<std::size_t> sites;
+    while (sites.size() < shared) {
+      const std::size_t q = rng.index(n);
+      if (std::find(sites.begin(), sites.end(), q) == sites.end())
+        sites.push_back(q);
+    }
+    for (auto& b : blocks) {
+      for (std::size_t q : sites)
+        b.string.set_letter(q, rng.bernoulli(0.5) ? Letter::X : Letter::Y);
+      b.target = b.string.support().lowest_set();
+      b.param = param;
+      b.angle_coeff = rng.uniform(-1.0, 1.0);
+    }
+    ++param;
+    per_term.push_back(std::move(blocks));
+  }
+  return per_term;
+}
+
+TEST(BaselineSort, MatchesOracleOnRandomTerms) {
+  Rng rng(110);
+  for (int rep = 0; rep < 120; ++rep) {
+    const std::size_t n = 4 + rng.index(10);
+    const auto per_term =
+        random_shared_terms(n, 1 + rng.index(6), 1 + rng.index(3), rng);
+    expect_sort_baseline_matches_oracle(per_term, nullptr,
+                                        "rep " + std::to_string(rep));
+  }
+}
+
+TEST(BaselineSort, MatchesOracleOnTermsWithoutCommonTarget) {
+  Rng rng(111);
+  int fallback_terms = 0;
+  for (int rep = 0; rep < 80; ++rep) {
+    const std::size_t n = 4 + rng.index(6);
+    std::vector<std::vector<synth::RotationBlock>> per_term;
+    for (std::size_t t = 0; t < 1 + rng.index(4); ++t) {
+      auto blocks = random_blocks(n, 2 + rng.index(6), rng);
+      for (auto& b : blocks) b.param = static_cast<int>(t);
+      if (core::detail::common_targets(blocks).empty()) ++fallback_terms;
+      per_term.push_back(std::move(blocks));
+    }
+    expect_sort_baseline_matches_oracle(per_term, nullptr,
+                                        "rep " + std::to_string(rep));
+    const synth::HardwareTarget line = synth::HardwareTarget::linear_nn(n);
+    expect_sort_baseline_matches_oracle(per_term, &line,
+                                        "linear rep " + std::to_string(rep));
+  }
+  // The fallback (candidates = the first block's support) must really run.
+  EXPECT_GE(fallback_terms, 20);
+}
+
+TEST(BaselineSort, MatchesOracleOnConstrainedDeviceTarget) {
+  Rng rng(112);
+  for (int rep = 0; rep < 60; ++rep) {
+    const std::size_t n = 4 + rng.index(10);
+    const auto per_term =
+        random_shared_terms(n, 1 + rng.index(6), 1 + rng.index(3), rng);
+    const synth::HardwareTarget line = synth::HardwareTarget::linear_nn(n);
+    const synth::HardwareTarget xx = synth::HardwareTarget::trapped_ion_xx();
+    expect_sort_baseline_matches_oracle(per_term, &line,
+                                        "linear rep " + std::to_string(rep));
+    expect_sort_baseline_matches_oracle(per_term, &xx,
+                                        "xx rep " + std::to_string(rep));
+  }
+}
+
+TEST(BaselineSort, MatchesOracleOnGammaMappedWater14Terms) {
+  const bench::TermFixture& water = bench::water_terms(14);
+  const auto jw_blocks = jw_term_blocks(water.n, water.terms);
+  const synth::HardwareTarget line = synth::HardwareTarget::linear_nn(water.n);
+  Rng rng(113);
+  for (int rep = 0; rep < 30; ++rep) {
+    const transform::LinearEncoding enc(
+        gf2::Matrix::random_invertible(water.n, rng));
+    std::vector<std::vector<synth::RotationBlock>> per_term = jw_blocks;
+    for (auto& term_blocks : per_term)
+      for (auto& b : term_blocks) {
+        b.string = enc.map_string(b.string);
+        b.target = b.string.support().lowest_set();
+      }
+    expect_sort_baseline_matches_oracle(per_term, nullptr,
+                                        "rep " + std::to_string(rep));
+    expect_sort_baseline_matches_oracle(per_term, &line,
+                                        "linear rep " + std::to_string(rep));
+  }
+}
+
+TEST(BaselineSort, SkipsOnlyTargetsThatCannotWin) {
+  // Water(14) under Gamma = I: every double excitation has four common
+  // targets, so the letter-column and bound skips both fire, and the
+  // Held-Karp runs plus the skipped targets account for every candidate.
+  const bench::TermFixture& water = bench::water_terms(14);
+  const auto per_term = jw_term_blocks(water.n, water.terms);
+  std::uint64_t candidates = 0;
+  for (const auto& blocks : per_term)
+    candidates += core::detail::common_targets(blocks).size();
+  core::detail::HeldKarpTally tally;
+  for (const auto& blocks : per_term)
+    (void)core::detail::plan_term(blocks, nullptr, tally);
+  EXPECT_EQ(tally.runs + tally.skipped, candidates);
+  EXPECT_GT(tally.skipped, 0u);
+  EXPECT_GT(tally.runs, 0u);
+  expect_sort_baseline_matches_oracle(per_term, nullptr, "identity");
+}
+
+TEST(RealCost, PhaseFreeMatchesLinearEncodingOracleOnWater8) {
+  const bench::TermFixture& water = bench::water_terms(8);
+  const auto jw_blocks = jw_term_blocks(water.n, water.terms);
+  core::CompileOptions options;
+  // Equivalence, not quality: a small GA budget keeps 400 sorts cheap.
+  options.gtsp_options.generations = 10;
+  options.gtsp_options.population = 8;
+  Rng rng(114);
+  for (int rep = 0; rep < 200; ++rep) {
+    const gf2::Matrix gamma = gf2::Matrix::random_invertible(water.n, rng);
+    // The phase-free map yields the exact Clifford image's letters.
+    const transform::LinearEncoding enc(gamma);
+    const auto mapped = core::detail::map_blocks_phase_free(gamma, jw_blocks);
+    for (std::size_t t = 0; t < mapped.size(); ++t)
+      for (std::size_t k = 0; k < mapped[t].size(); ++k)
+        ASSERT_TRUE(mapped[t][k].string.same_letters(
+            enc.map_string(jw_blocks[t][k].string)));
+    for (const core::SortingMode sorting :
+         {core::SortingMode::kBaseline, core::SortingMode::kAdvanced}) {
+      options.sorting = sorting;
+      EXPECT_EQ(
+          core::detail::fermionic_real_cost(gamma, jw_blocks, options, nullptr),
+          oracles::real_fermionic_cost_reference(gamma, jw_blocks, options,
+                                                 nullptr))
+          << "rep " << rep << " sorting " << static_cast<int>(sorting);
+    }
+  }
+  // A constrained device target re-weights both the sort and the cost.
+  core::CompileOptions device = options;
+  device.target = synth::HardwareTarget::linear_nn(water.n);
+  device.sorting = core::SortingMode::kBaseline;
+  for (int rep = 0; rep < 20; ++rep) {
+    const gf2::Matrix gamma = gf2::Matrix::random_invertible(water.n, rng);
+    EXPECT_EQ(core::detail::fermionic_real_cost(gamma, jw_blocks, device,
+                                                &device.target),
+              oracles::real_fermionic_cost_reference(gamma, jw_blocks, device,
+                                                     &device.target))
+        << "device rep " << rep;
   }
 }
 

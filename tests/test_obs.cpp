@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -309,6 +310,32 @@ TEST(Metrics, GlobalRegistryCarriesPipelineCounters) {
   core::CompilePipeline pipeline({.workers = 1});
   (void)pipeline.compile(traced_request());
   EXPECT_GT(compiles.value(), before);
+}
+
+TEST(Metrics, GtCompileReportsRealCostAndHeldKarpWork) {
+  const char* names[] = {"solver.gt_real_cost_evals",
+                         "solver.gt_real_cost_memo_hits",
+                         "solver.held_karp_runs",
+                         "solver.held_karp_targets_skipped"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names)
+    before.push_back(obs::registry().counter(name).value());
+  std::vector<fermion::ExcitationTerm> terms;
+  for (const auto& [p, q, r, s] :
+       std::vector<std::array<std::size_t, 4>>{
+           {0, 2, 5, 7}, {1, 3, 4, 6}, {0, 3, 4, 7}, {1, 2, 5, 6}})
+    terms.push_back(fermion::ExcitationTerm::make_double(p, q, r, s));
+  core::CompileOptions options;
+  options.transform = core::TransformKind::kBaselineGT;
+  options.sorting = core::SortingMode::kBaseline;
+  options.compression = core::CompressionMode::kBosonicOnly;
+  options.pso_options.iterations = 4;
+  options.pso_options.particles = 4;
+  options.emit_circuit = false;
+  (void)core::compile_vqe(8, terms, options);
+  for (std::size_t k = 0; k < before.size(); ++k)
+    EXPECT_GT(obs::registry().counter(names[k]).value(), before[k])
+        << names[k];
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_fixtures.hpp"
 #include "chem/integrals.hpp"
 #include "chem/mo_integrals.hpp"
 #include "chem/molecules.hpp"
@@ -506,6 +508,35 @@ TEST(Pipeline, CompileRequestHonorsCancelAndDeadline) {
   ASSERT_TRUE(plain.done());
   expect_identical(relaxed.outcomes[0].result.best,
                    plain.outcomes[0].result.best);
+}
+
+TEST(BenchFixtures, ConcurrentFirstTouchBuildsOneFixture) {
+  // Four threads released together all touch the same lazily built
+  // fixtures first: each must see the one cached object, fully built.
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> ready{0};
+  std::vector<const bench::TermFixture*> water(kThreads, nullptr);
+  std::vector<const bench::TermFixture*> molecule(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k)
+    threads.emplace_back([&, k] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      water[k] = &bench::water_terms(5);
+      molecule[k] = &bench::molecule_terms(chem::make_lih());
+    });
+  for (std::thread& t : threads) t.join();
+  const Fixture expected = molecule_terms(chem::make_h2o(), 5);
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(water[k], water[0]);
+    EXPECT_EQ(molecule[k], molecule[0]);
+  }
+  EXPECT_EQ(water[0]->n, expected.n);
+  ASSERT_EQ(water[0]->terms.size(), expected.terms.size());
+  for (std::size_t t = 0; t < expected.terms.size(); ++t)
+    EXPECT_EQ(water[0]->terms[t].support(), expected.terms[t].support());
+  EXPECT_GT(molecule[0]->n, 0u);
+  EXPECT_FALSE(molecule[0]->terms.empty());
 }
 
 }  // namespace

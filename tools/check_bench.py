@@ -65,8 +65,13 @@ ABS_FLOORS = {
     # same process (reference machine ~9x with AVX-512; AVX2-only hosts
     # still clear ~5x because the vectorized popcount replaces a per-word
     # libcall); the floor only requires that SIMD dispatch keeps paying.
+    # gt_real_cost_speedup is the GT baseline's real-cost objective on
+    # water(14): the LinearEncoding + per-target Held-Karp oracle
+    # (tests/oracles/gt_reference.hpp) vs the phase-free map + shared-table
+    # Held-Karp production path, same process.
     "compile_hot": {"gamma_eval_speedup": 3.0, "gtsp_ga_speedup": 2.0,
-                    "simd_wordops_speedup": 1.5},
+                    "simd_wordops_speedup": 1.5,
+                    "gt_real_cost_speedup": 2.5},
     # Serving compiled segments from the mmap'd compilation database must
     # stay at memory speed (binary search + circuit decode). The reference
     # machine does >1M lookups/s; the floor leaves ~20x headroom.
@@ -93,6 +98,40 @@ ABS_FLOORS = {
 # so any drift here is a real behavior change, not noise.
 ABS_EXACT = {
     "targets": {"targets/H2O(14)/all_to_all_cnot/model_cnots": 108.0},
+    # The paper reproduction itself: every Table-1 row's JW / BK / GT / Adv
+    # model CNOT count (bench_table1), pinned exactly. A rewrite of any
+    # layer under these columns (sorting, Gamma search, cost model) must
+    # keep all 56 counts.
+    "table1": {
+        "table1/HF/jw": 20, "table1/HF/bk": 26,
+        "table1/HF/gt": 18, "table1/HF/adv": 13,
+        "table1/LiH/jw": 39, "table1/LiH/bk": 44,
+        "table1/LiH/gt": 38, "table1/LiH/adv": 27,
+        "table1/BeH2/jw": 72, "table1/BeH2/bk": 94,
+        "table1/BeH2/gt": 68, "table1/BeH2/adv": 55,
+        "table1/NH3/jw": 591, "table1/NH3/bk": 825,
+        "table1/NH3/gt": 591, "table1/NH3/adv": 516,
+        "table1/H2O(4)/jw": 42, "table1/H2O(4)/bk": 54,
+        "table1/H2O(4)/gt": 42, "table1/H2O(4)/adv": 31,
+        "table1/H2O(5)/jw": 44, "table1/H2O(5)/bk": 56,
+        "table1/H2O(5)/gt": 44, "table1/H2O(5)/adv": 33,
+        "table1/H2O(6)/jw": 46, "table1/H2O(6)/bk": 58,
+        "table1/H2O(6)/gt": 46, "table1/H2O(6)/adv": 35,
+        "table1/H2O(8)/jw": 70, "table1/H2O(8)/bk": 86,
+        "table1/H2O(8)/gt": 70, "table1/H2O(8)/adv": 56,
+        "table1/H2O(9)/jw": 83, "table1/H2O(9)/bk": 111,
+        "table1/H2O(9)/gt": 83, "table1/H2O(9)/adv": 69,
+        "table1/H2O(11)/jw": 111, "table1/H2O(11)/bk": 145,
+        "table1/H2O(11)/gt": 107, "table1/H2O(11)/adv": 78,
+        "table1/H2O(12)/jw": 113, "table1/H2O(12)/bk": 131,
+        "table1/H2O(12)/gt": 109, "table1/H2O(12)/adv": 80,
+        "table1/H2O(14)/jw": 147, "table1/H2O(14)/bk": 167,
+        "table1/H2O(14)/gt": 137, "table1/H2O(14)/adv": 108,
+        "table1/H2O(16)/jw": 159, "table1/H2O(16)/bk": 181,
+        "table1/H2O(16)/gt": 152, "table1/H2O(16)/adv": 126,
+        "table1/H2O(17)/jw": 173, "table1/H2O(17)/bk": 210,
+        "table1/H2O(17)/gt": 167, "table1/H2O(17)/adv": 137,
+    },
     # The SIMD layer's bit-identity contract: switching the dispatch level
     # (portable/AVX2/AVX-512) or batching states through sim::BatchedState
     # must never change a single amplitude bit (statevector) or any integer
