@@ -117,10 +117,10 @@ inline core::CompileOptions table1_column_options(const std::string& column,
   return opt;
 }
 
-/// Named compile-scenario suites shared by femto-db, femtod's service
-/// bench, and the bench binaries: Table-1 columns at the bench fixtures'
-/// solver budgets, with circuits emitted (counting-only compiles
-/// synthesize nothing worth persisting or serving). Unknown suite -> empty.
+/// Named compile-scenario suites shared by femto-client export-scenarios,
+/// femtod's service bench, and the bench binaries: Table-1 columns at the
+/// bench fixtures' solver budgets, with circuits emitted (counting-only
+/// compiles synthesize nothing worth serving). Unknown suite -> empty.
 inline std::vector<core::CompileScenario> suite_scenarios(
     const std::string& suite) {
   struct Entry {
@@ -157,7 +157,7 @@ inline std::vector<core::CompileScenario> suite_scenarios(
       s.num_qubits = f.n;
       s.terms = f.terms;
       s.options = table1_column_options(column, f.terms.size());
-      s.options.emit_circuit = true;  // persist real artifacts, not counts
+      s.options.emit_circuit = true;  // serve real artifacts, not counts
       scenarios.push_back(std::move(s));
     }
   }

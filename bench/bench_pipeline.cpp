@@ -11,8 +11,6 @@
 //    the single-shot compile).
 //  - Batch throughput: a transform x sorting scenario sweep batch-compiled
 //    in one call vs sequential single compiles.
-//  - Synthesis-cache effect: hits/misses across an 8-restart run (info_
-//    metrics: interleaving-dependent counters, excluded from the CI gate).
 //
 // Every quality metric (best_cnots) is deterministic for the committed
 // master seed and thread-count invariant, which is what the CI bench gate
@@ -143,22 +141,7 @@ int main() {
     h.metric("cnots", batch_results[i].model_cnots);
   }
 
-  // E7d: synthesis-cache effect across an 8-restart run.
-  {
-    core::CompilePipeline pipeline({.workers = 0});
-    const core::MultiStartResult result =
-        compile_sweep(pipeline, f, kRestarts);
-    const auto stats = pipeline.cache().stats();
-    h.section("cache/restart8");
-    h.metric("info_hits", static_cast<double>(stats.hits));
-    h.metric("info_misses", static_cast<double>(stats.misses));
-    h.metric("best_cnots", result.best.model_cnots);
-    std::printf("\n# E7d synthesis cache over %zu restarts: %zu hits, %zu "
-                "misses\n",
-                kRestarts, stats.hits, stats.misses);
-  }
-
-  // E7e: tracing overhead + contracts (the obs/ subsystem's CI gate).
+  // E7d: tracing overhead + contracts (the obs/ subsystem's CI gate).
   // The same seeded 2-restart compile runs untraced and traced; tracing
   // must (a) cost <= ~10% wall time (trace_overhead_ratio floor 0.9,
   // min-of-k so scheduler noise on loaded CI boxes does not flake the
@@ -212,7 +195,7 @@ int main() {
              off_canonical == on_canonical && !off_canonical.empty() ? 1.0
                                                                      : 0.0);
     h.metric("info_trace_events", static_cast<double>(tracer.event_count()));
-    std::printf("\n# E7e tracing: overhead ratio %.3f (untraced %.3f ms / "
+    std::printf("\n# E7d tracing: overhead ratio %.3f (untraced %.3f ms / "
                 "traced %.3f ms), %zu events, json %s, bit-identical %s\n",
                 t_off_min / t_on_min, t_off_min * 1e3, t_on_min * 1e3,
                 tracer.event_count(), valid_json ? "valid" : "INVALID",

@@ -17,21 +17,15 @@
 //   coalesce/coalesced_identical        ABS_EXACT 1.0 -- identical seeded
 //       requests submitted while the scheduler is busy collapse onto one
 //       execution and every waiter gets the same bytes as in-process.
-//   db_warm/db_warm_equals_inprocess    ABS_EXACT 1.0 -- a daemon serving
-//       from a prebuilt compilation database (.fdb) returns the same bytes
-//       as the cold in-process compile.
 //   deadline/deadline_enforced          ABS_EXACT 1.0 -- an impossible
 //       deadline terminates DEADLINE_EXCEEDED at a restart boundary
 //       instead of running to completion.
 //   shutdown/clean_shutdown             ABS_EXACT 1.0 -- the graceful
-//       shutdown handshake drains both daemons; an external femtod must
-//       exit 0.
+//       shutdown handshake drains the serving daemon; an external femtod
+//       must exit 0.
 //   chaos/failpoint_disabled_zero_alloc ABS_EXACT 1.0 -- with no failpoint
 //       armed, a million FEMTO_FAILPOINT evaluations perform zero heap
 //       allocations (the disabled path is one relaxed atomic load).
-//   chaos/chaos_db_survived             ABS_EXACT 1.0 -- short-write and
-//       fsync faults injected into a database rewrite leave the previous
-//       .fdb byte-identical and loadable (crash-safe persistence).
 //   chaos/chaos_responses_identical     ABS_EXACT 1.0 -- a retrying client
 //       fleet driven through wire-armed service.recv connection drops
 //       completes every request byte-identical to in-process.
@@ -41,11 +35,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <new>
 #include <optional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,7 +48,6 @@
 #include "bench_harness.hpp"
 #include "common/failpoint.hpp"
 #include "core/pipeline.hpp"
-#include "db/database.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -106,18 +97,12 @@ struct Daemon {
   std::thread runner;
 };
 
-Daemon boot_daemon(const std::string& femtod, const std::string& socket_path,
-                   const std::string& db_path) {
+Daemon boot_daemon(const std::string& femtod, const std::string& socket_path) {
   Daemon d;
   d.socket_path = socket_path;
   if (!femtod.empty()) {
-    std::vector<std::string> argv = {femtod, "--socket", socket_path,
-                                     "--workers", "2"};
-    if (!db_path.empty()) {
-      argv.push_back("--db");
-      argv.push_back(db_path);
-    }
-    d.pid = service::spawn_process(argv);
+    d.pid = service::spawn_process(
+        {femtod, "--socket", socket_path, "--workers", "2"});
     if (d.pid < 0) {
       std::fprintf(stderr, "bench_service: failed to spawn %s\n",
                    femtod.c_str());
@@ -127,7 +112,6 @@ Daemon boot_daemon(const std::string& femtod, const std::string& socket_path,
     service::SocketServerOptions options;
     options.socket_path = socket_path;
     options.service.pipeline.workers = 2;
-    if (!db_path.empty()) options.service.pipeline.database_path = db_path;
     d.server = std::make_unique<service::SocketServer>(std::move(options));
     if (const std::string err = d.server->start(); !err.empty()) {
       std::fprintf(stderr, "bench_service: %s\n", err.c_str());
@@ -175,13 +159,6 @@ double stats_field(service::CompileClient& client, const char* key) {
   if (!stats.has_value()) return -1.0;
   const service::json::Value* v = stats->find(key);
   return v != nullptr && v->is_number() ? v->as_double() : -1.0;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return in ? out.str() : "";
 }
 
 /// The `failpoints` op on a fresh connection, retried: while service.recv
@@ -240,7 +217,7 @@ int main(int argc, char** argv) {
 
   const std::string socket_base =
       "/tmp/femtod-bench-" + std::to_string(::getpid());
-  Daemon daemon = boot_daemon(femtod, socket_base + "-1.sock", "");
+  Daemon daemon = boot_daemon(femtod, socket_base + "-1.sock");
 
   // ---- cold concurrent serving ------------------------------------------
   h.section("serve_cold");
@@ -367,71 +344,39 @@ int main(int argc, char** argv) {
   h.metric("coalesced_identical", coalesce_ok ? 1.0 : 0.0);
   h.metric("info_coalesced_delta", coalesced_delta);
 
-  bool clean = shutdown_daemon(daemon);
-
-  // ---- serving from a prebuilt compilation database ---------------------
-  h.section("db_warm");
-  const std::string db_path = socket_base + ".fdb";
-  bool db_ok = false;
+  // ---- deadline enforcement ---------------------------------------------
+  h.section("deadline");
   {
-    db::DatabaseBuilder builder;
-    core::CompilePipeline recorder({.workers = 2});
-    recorder.set_store(&builder);
-    bool recorded = true;
-    for (const core::CompileRequest& r : requests)
-      recorded = recorder.compile(r).done() && recorded;
-    const std::string err = builder.write(db_path);
-    if (!recorded || !err.empty()) {
-      std::fprintf(stderr, "bench_service: db build failed: %s\n",
-                   err.c_str());
-    } else {
-      Daemon warm = boot_daemon(femtod, socket_base + "-2.sock", db_path);
-      if (auto client = make_client(warm.socket_path)) {
-        db_ok = true;
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-          std::string cerr;
-          const auto served =
-              client->compile(requests[i], "w" + std::to_string(i), cerr,
-                              /*include_circuit=*/true);
-          db_ok = db_ok && served.has_value() &&
-                  served->canonical_response == reference[i];
-        }
+    core::CompileRequest doomed = requests[0];
+    doomed.restarts = 100000;
+    doomed.seed = 5;
+    doomed.verify = false;
+    doomed.deadline_s = 0.2;
+    bool deadline_ok = false;
+    double restarts_completed = -1.0;
+    if (auto client = make_client(daemon.socket_path)) {
+      std::string derr;
+      const auto served = client->compile(doomed, "doomed", derr,
+                                          /*include_circuit=*/false);
+      if (served.has_value()) {
+        deadline_ok =
+            served->state == service::RequestState::kDeadlineExceeded;
+        if (!served->response.outcomes.empty())
+          restarts_completed = static_cast<double>(
+              served->response.outcomes[0].restarts_completed);
       }
-
-      // ---- deadline enforcement (same warm daemon) ----------------------
-      core::CompileRequest doomed = requests[0];
-      doomed.restarts = 100000;
-      doomed.seed = 5;
-      doomed.verify = false;
-      doomed.deadline_s = 0.2;
-      bool deadline_ok = false;
-      double restarts_completed = -1.0;
-      if (auto client = make_client(warm.socket_path)) {
-        std::string derr;
-        const auto served = client->compile(doomed, "doomed", derr,
-                                            /*include_circuit=*/false);
-        if (served.has_value()) {
-          deadline_ok =
-              served->state == service::RequestState::kDeadlineExceeded;
-          if (!served->response.outcomes.empty())
-            restarts_completed = static_cast<double>(
-                served->response.outcomes[0].restarts_completed);
-        }
-      }
-      clean = shutdown_daemon(warm) && clean;
-      h.metric("db_warm_equals_inprocess", db_ok ? 1.0 : 0.0);
-      h.section("deadline");
-      h.metric("deadline_enforced", deadline_ok ? 1.0 : 0.0);
-      h.metric("info_restarts_completed", restarts_completed);
     }
-    ::unlink(db_path.c_str());
+    h.metric("deadline_enforced", deadline_ok ? 1.0 : 0.0);
+    h.metric("info_restarts_completed", restarts_completed);
   }
+
+  const bool clean = shutdown_daemon(daemon);
 
   // ---- graceful shutdown ------------------------------------------------
   h.section("shutdown");
   h.metric("clean_shutdown", clean ? 1.0 : 0.0);
 
-  // ---- chaos: failpoint cost, crash-safe rewrites, fleet under drops ----
+  // ---- chaos: failpoint cost, fleet under drops -------------------------
   h.section("chaos");
   {
     // Disabled-cost contract: with nothing armed anywhere in the process,
@@ -448,42 +393,10 @@ int main(int argc, char** argv) {
     h.metric("info_disabled_evaluations", 1e6);
   }
   {
-    // Crash-safe persistence: a rewrite that fails short or cannot fsync
-    // must leave the previously published .fdb byte-identical and
-    // loadable (the torn-write *kill* variant runs in test_db and
-    // femtod_chaos, where a forked child can die safely).
-    const std::string chaos_db_path = socket_base + "-chaos.fdb";
-    bool chaos_db_ok = false;
-    db::DatabaseBuilder builder;
-    bool recorded = true;
-    {
-      core::CompilePipeline recorder({.workers = 2});
-      recorder.set_store(&builder);
-      for (const core::CompileRequest& r : requests)
-        recorded = recorder.compile(r).done() && recorded;
-    }
-    if (recorded && builder.write(chaos_db_path).empty()) {
-      const std::string bytes = read_file(chaos_db_path);
-      fail::registry().arm_one({"db.write.short", 1.0, 1});
-      const std::string short_err = builder.write(chaos_db_path);
-      fail::registry().disarm_all();
-      fail::registry().arm_one({"db.fsync", 1.0, 1});
-      const std::string fsync_err = builder.write(chaos_db_path);
-      fail::registry().disarm_all();
-      std::string open_err;
-      chaos_db_ok = !bytes.empty() && !short_err.empty() &&
-                    !fsync_err.empty() &&
-                    read_file(chaos_db_path) == bytes &&
-                    db::Database::open(chaos_db_path, &open_err).has_value();
-    }
-    ::unlink(chaos_db_path.c_str());
-    h.metric("chaos_db_survived", chaos_db_ok ? 1.0 : 0.0);
-  }
-  {
     // Fleet resilience: arm service.recv over the wire (works against the
     // in-process server and a forked femtod alike) and require a retrying
     // client fleet to land every response byte-identical to in-process.
-    Daemon chaos_daemon = boot_daemon(femtod, socket_base + "-3.sock", "");
+    Daemon chaos_daemon = boot_daemon(femtod, socket_base + "-2.sock");
     const bool armed =
         failpoints_op_retry(chaos_daemon.socket_path, "service.recv:0.25:11",
                             "");

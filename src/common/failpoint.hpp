@@ -1,13 +1,13 @@
 // Deterministic fault injection: a process-global registry of named
 // failpoints threaded through the serving stack's failure-prone seams
-// (db writes, socket accept/recv, cache inserts, pipeline restarts).
+// (socket accept/recv, pipeline restarts).
 //
 // A failpoint is evaluated with FEMTO_FAILPOINT("name"): it returns true
 // ("fire the fault") with the armed probability, drawn from a splitmix64
 // stream seeded at arm time -- so a chaos run with a fixed spec replays the
 // same fault sequence at every site, every time. Arm via either
 //
-//   * the environment: FEMTO_FAILPOINTS=db.write.short:0.5:42,service.recv:0.1:7
+//   * the environment: FEMTO_FAILPOINTS=pipeline.restart:0.5:42,service.recv:0.1:7
 //     (parsed once, on first registry use; a malformed spec aborts loudly --
 //     silently serving *without* the faults an operator asked for is the
 //     one behavior a fault-injection framework must never have), or
@@ -25,19 +25,10 @@
 // Stable failpoint names (the contract chaos tooling scripts against; see
 // README "Resilience"):
 //
-//   db.write.short    DatabaseBuilder::write: a chunk write fails short;
-//                     the write() call returns a diagnostic, the tmp file
-//                     is removed, the previous database is untouched
-//   db.write.kill     DatabaseBuilder::write: the process dies (_Exit 137)
-//                     mid-write, leaving a torn tmp file behind -- the
-//                     kill-mid-write recovery tests arm this in a fork
-//   db.fsync          DatabaseBuilder::write: fsync of the tmp file fails
 //   service.accept    SocketServer: an accepted connection is dropped
 //                     before any byte is read (client sees EOF -> retries)
 //   service.recv      SocketServer: the connection is torn down mid-read
 //                     (client reconnects and resubmits)
-//   cache.insert      SynthesisCache: the memo insert is dropped (as if
-//                     evicted instantly); the caller still gets its circuit
 //   pipeline.restart  CompilePipeline restart boundary: the finished job is
 //                     thrown away and recomputed once (purity makes the
 //                     retry bit-identical; counted in

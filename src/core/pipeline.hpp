@@ -15,10 +15,10 @@
 // seed) and writes only its own output slot; winner selection is a pure
 // reduction over the complete slot vector. The same master seeds therefore
 // yield bit-identical results for ANY worker count -- this is what makes
-// the CI bench-regression gates trustworthy. A shared SynthesisCache
-// deduplicates repeated per-segment synthesis across jobs; it memoizes a
-// pure function, so it never changes results either (see
-// synth/synthesis_cache.hpp).
+// the CI bench-regression gates trustworthy. Restart jobs share no mutable
+// state at all: each one synthesizes its own circuit from scratch, so there
+// is no cache whose contents or insertion races could depend on worker
+// count or scheduling.
 //
 // Cancellation and deadlines are cooperative and checked at RESTART
 // boundaries: a restart job either runs to completion or is skipped before
@@ -31,8 +31,7 @@
 // the same contract (see core/gamma_search.hpp, opt/gtsp.hpp). All per-job
 // caches and per-thread scratch buffers are confined to one job's stack or
 // thread, so the fan-out shares nothing mutable. A CompilePipeline serves
-// one compile() call at a time (the service layer serializes requests); the
-// shared cache underneath is fully thread-safe.
+// one compile() call at a time (the service layer serializes requests).
 #pragma once
 
 #include <atomic>
@@ -47,7 +46,6 @@
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
 #include "core/compiler.hpp"
-#include "db/database.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/restart.hpp"
@@ -127,7 +125,7 @@ struct CompileRequest {
   std::size_t restarts = 1;
   /// When set, overrides every scenario's master seed: an explicit seed is
   /// the request-level reproducibility handle (same seed = bit-identical
-  /// plan, in-process or daemon-served, cold or cache-warm).
+  /// plan, in-process or daemon-served).
   std::optional<std::uint64_t> seed;
   /// Wall-clock budget in seconds (0 = none), measured from the start of
   /// compile() unless deadline_at overrides it. Checked cooperatively at
@@ -176,6 +174,19 @@ struct CompileResponse {
          2.0;
 }
 
+/// Most restart jobs (scenarios x targets x restarts) one request may
+/// expand to. compile() allocates a slot per job before running any, so
+/// an unbounded product lets one wire request exhaust the daemon's memory.
+/// Above every workload in the tree (the service bench's 100000-restart
+/// scheduler blockers).
+inline constexpr std::size_t kMaxRequestJobs = std::size_t{1} << 17;
+
+/// Most qubits one scenario may ask for. Every stage allocates per qubit
+/// (Pauli strings, GF(2) matrices, circuits), so an absurd width holds the
+/// scheduler for as long as the allocations take. Far above any molecule
+/// in the tree (Table-1 rows are at most a few tens of qubits).
+inline constexpr std::size_t kMaxRequestQubits = 1024;
+
 /// Diagnostic for a term the compiler cannot take; empty string = valid.
 /// Every orbital must be one of the n qubits, and a double must be in the
 /// form ExcitationTerm::make_double builds -- distinct, ascending creation
@@ -223,7 +234,19 @@ struct CompileResponse {
     return buf;
   }
   const std::size_t T = r.targets.empty() ? 1 : r.targets.size();
+  const std::size_t cells = r.scenarios.size() * T;
+  if (cells > kMaxRequestJobs || r.restarts > kMaxRequestJobs / cells)
+    return "CompileRequest expands to " + std::to_string(r.scenarios.size()) +
+           " scenarios x " + std::to_string(T) + " targets x " +
+           std::to_string(r.restarts) + " restarts, more than the " +
+           std::to_string(kMaxRequestJobs) +
+           " restart jobs one request may run";
   for (const CompileScenario& s : r.scenarios) {
+    if (s.num_qubits > kMaxRequestQubits)
+      return "scenario '" + s.name + "': num_qubits " +
+             std::to_string(s.num_qubits) + " exceeds the " +
+             std::to_string(kMaxRequestQubits) +
+             " qubits one scenario may compile";
     for (std::size_t k = 0; k < s.terms.size(); ++k)
       if (const std::string err = validate_term(s.num_qubits, s.terms[k]);
           !err.empty())
@@ -246,71 +269,17 @@ struct PipelineOptions {
 
   /// Worker threads; 0 = hardware concurrency.
   std::size_t workers = 0;
-  /// Path to a persistent compilation database (db/database.hpp), attached
-  /// as a read-through L2 behind the shared in-memory memo. Empty = no
-  /// database. The file is opened read-only (mmap, shared across threads
-  /// and processes); a path that fails to open is a loud constructor error,
-  /// never a silently empty database. The database serves the same pure
-  /// function the cache memoizes, so results are bit-identical with the
-  /// database enabled, disabled, cold, or warm -- and verify-on-compile
-  /// certifies served artifacts like any other.
-  std::string database_path;
-  /// Degrade instead of aborting when database_path fails to open: the
-  /// pipeline logs loudly, raises the service.degraded gauge, and serves
-  /// from pure in-process synthesis. Because the database only memoizes a
-  /// pure function, degraded results are bit-identical to a pipeline with
-  /// no database at all. Default off: an unopenable database stays a hard
-  /// constructor error unless the operator opted into degradation
-  /// (femtod --degrade-on-db-error).
-  bool degrade_on_db_error = false;
 };
 
 class CompilePipeline {
  public:
   explicit CompilePipeline(PipelineOptions options = {})
-      : options_(std::move(options)), pool_(options_.workers) {
-    if (!options_.database_path.empty()) {
-      std::string err;
-      database_ = db::Database::open(options_.database_path, &err);
-      if (!database_.has_value()) {
-        if (options_.degrade_on_db_error) {
-          db_degraded_ = true;
-          obs::registry().gauge("service.degraded").set(1);
-          std::fprintf(
-              stderr,
-              "femto: DEGRADED: cannot open compilation database: %s; "
-              "serving from in-process synthesis only (results remain "
-              "bit-identical to a database-free pipeline)\n",
-              err.c_str());
-        } else {
-          std::fprintf(stderr,
-                       "femto: cannot open compilation database: %s\n",
-                       err.c_str());
-          FEMTO_EXPECTS(false &&
-                        "cannot open compilation database (diagnostic above)");
-        }
-      } else {
-        cache_.set_store(&*database_);
-      }
-    }
-  }
+      : options_(options), pool_(options_.workers) {}
 
   [[nodiscard]] std::size_t worker_count() const {
     return pool_.worker_count();
   }
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
-  [[nodiscard]] const synth::SynthesisCache& cache() const { return cache_; }
-  /// The database opened from PipelineOptions.database_path, or nullptr.
-  [[nodiscard]] const db::Database* database() const {
-    return database_.has_value() ? &*database_ : nullptr;
-  }
-  /// True iff database_path was set but failed to open and
-  /// degrade_on_db_error accepted serving without it.
-  [[nodiscard]] bool db_degraded() const { return db_degraded_; }
-  /// Attaches a second-level store (e.g. a db::DatabaseBuilder recording a
-  /// cold run for femto-db). Replaces the database from database_path; call
-  /// before compiling, not concurrently with it.
-  void set_store(synth::SynthesisStore* store) { cache_.set_store(store); }
 
   /// The entry point: every (scenario, target) cell multi-restarted on
   /// one job queue, reduced deterministically, optionally verified, with
@@ -458,8 +427,7 @@ class CompilePipeline {
       if (jobs[i].scenario_name != nullptr)
         span.arg("scenario", *jobs[i].scenario_name);
       span.arg("target", jobs[i].options.target.name);
-      CompileOptions options = jobs[i].options;
-      if (options.emit_circuit) options.synthesis_cache = &cache_;
+      const CompileOptions& options = jobs[i].options;
       CompileResult& result = slots.results[i];
       result = compile_vqe(jobs[i].num_qubits, *jobs[i].terms, options);
       if (FEMTO_FAILPOINT("pipeline.restart")) {
@@ -534,9 +502,6 @@ class CompilePipeline {
 
   PipelineOptions options_;
   ThreadPool pool_;
-  synth::SynthesisCache cache_;
-  std::optional<db::Database> database_;
-  bool db_degraded_ = false;
 };
 
 }  // namespace femto::core

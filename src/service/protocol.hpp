@@ -1,5 +1,5 @@
 // THE canonical scenario/request/result serialization for the compilation
-// service -- shared by femtod, femto_client, femto-db, and the benches, so
+// service -- shared by femtod, femto_client, and the benches, so
 // there is exactly one wire shape for a compile in the whole tree.
 //
 // Canonical means: encode builds every object in one fixed field order with
@@ -34,8 +34,12 @@
 //               "circuit":null|hex}
 //   restart    {"seed":..,"model_cnots":..,"model_cost":..,
 //               "device_cost":..,"completed":..}
+//   circuit    hex of encode_circuit's bytes, all integers little-endian:
+//               u32 width, u32 gate count, then per gate {kind u32, q0 u32,
+//               q1 u32, param u32, angle bits u64}
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -44,7 +48,6 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "db/database.hpp"
 #include "service/json.hpp"
 
 namespace femto::service::protocol {
@@ -145,6 +148,61 @@ namespace femto::service::protocol {
     out += static_cast<char>((hi << 4) | lo);
   }
   return out;
+}
+
+// --- circuits (the bytes a wire circuit payload hex-encodes) ----------------
+
+/// The byte form of a shipped circuit (layout in the file comment above).
+[[nodiscard]] inline std::string encode_circuit(
+    const circuit::QuantumCircuit& c) {
+  std::string out;
+  out.reserve(8 + c.gates().size() * 24);
+  const auto put = [&out](std::uint64_t v, int bytes) {
+    for (int byte = 0; byte < bytes; ++byte)
+      out.push_back(static_cast<char>((v >> (8 * byte)) & 0xff));
+  };
+  put(c.num_qubits(), 4);
+  put(c.gates().size(), 4);
+  for (const circuit::Gate& g : c.gates()) {
+    put(static_cast<std::uint32_t>(g.kind), 4);
+    put(g.q0, 4);
+    put(g.q1, 4);
+    put(static_cast<std::uint32_t>(g.param), 4);
+    put(std::bit_cast<std::uint64_t>(g.angle), 8);
+  }
+  return out;
+}
+
+/// Inverts encode_circuit; nullopt on malformed bytes (wrong size for the
+/// gate count, unknown gate kind, a qubit outside the width).
+[[nodiscard]] inline std::optional<circuit::QuantumCircuit> decode_circuit(
+    std::string_view bytes) {
+  const auto get = [&bytes](std::size_t at, int n) {
+    std::uint64_t v = 0;
+    for (int byte = 0; byte < n; ++byte)
+      v |= std::uint64_t{static_cast<unsigned char>(bytes[at + byte])}
+           << (8 * byte);
+    return v;
+  };
+  if (bytes.size() < 8) return std::nullopt;
+  const std::uint64_t n = get(0, 4);
+  const std::uint64_t count = get(4, 4);
+  if (bytes.size() != 8 + count * 24) return std::nullopt;
+  circuit::QuantumCircuit c(n);
+  for (std::size_t at = 8; at < bytes.size(); at += 24) {
+    const std::uint64_t kind = get(at, 4);
+    if (kind > static_cast<std::uint32_t>(circuit::GateKind::kXYrot))
+      return std::nullopt;
+    circuit::Gate gate;
+    gate.kind = static_cast<circuit::GateKind>(kind);
+    gate.q0 = get(at + 4, 4);
+    gate.q1 = get(at + 8, 4);
+    gate.param = static_cast<int>(get(at + 12, 4));
+    gate.angle = std::bit_cast<double>(get(at + 16, 8));
+    if (gate.q0 >= n || (gate.two_qubit() && gate.q1 >= n)) return std::nullopt;
+    c.append(gate);
+  }
+  return c;
 }
 
 // --- decode plumbing ---------------------------------------------------------
@@ -599,7 +657,7 @@ struct WireOutcome {
   /// nullopt = verification was not requested.
   std::optional<bool> verified;
   std::vector<WireRestart> restarts;
-  /// Hex of db::detail::encode_circuit(final circuit); empty = not shipped.
+  /// Hex of encode_circuit(final circuit); empty = not shipped.
   std::string circuit_hex;
 };
 
@@ -649,8 +707,7 @@ struct WireResponse {
     if (include_circuits && oc.restarts_completed > 0) {
       const circuit::QuantumCircuit& final_circuit = best.final_circuit();
       if (final_circuit.num_qubits() > 0)
-        w.circuit_hex =
-            encode_hex(db::detail::encode_circuit(final_circuit));
+        w.circuit_hex = encode_hex(encode_circuit(final_circuit));
     }
     out.outcomes.push_back(std::move(w));
   }
@@ -765,8 +822,7 @@ struct WireResponse {
 decode_wire_circuit(std::string_view hex) {
   const std::optional<std::string> bytes = decode_hex(hex);
   if (!bytes.has_value()) return std::nullopt;
-  return db::detail::decode_circuit(
-      reinterpret_cast<const unsigned char*>(bytes->data()), bytes->size());
+  return decode_circuit(*bytes);
 }
 
 }  // namespace femto::service::protocol

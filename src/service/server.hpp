@@ -319,9 +319,8 @@ class Service {
     std::lock_guard<std::mutex> g(trace_mu_);
     return last_trace_;
   }
-  /// The shared pipeline (one SynthesisCache + optional database L2 across
-  /// ALL requests -- the warm-cache serving advantage). Do not compile on
-  /// it concurrently with a live service; use submit().
+  /// The pipeline every request runs on. Do not compile on it
+  /// concurrently with a live service; use submit().
   [[nodiscard]] core::CompilePipeline& pipeline() { return pipeline_; }
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
 
@@ -946,8 +945,6 @@ class SocketServer {
                              service_.in_flight())));
       v.set("workers",
             json::Value::number(service_.pipeline().worker_count()));
-      v.set("degraded",
-            json::Value::boolean(service_.pipeline().db_degraded()));
       write_line(conn, v.encode());
     } else if (op == "failpoints") {
       // Chaos-run control plane: {"op":"failpoints"} lists the registry;

@@ -9,9 +9,6 @@
 //    and rejects everything else without partially applying.
 //  * Retry schedule: CompileClient's exponential-backoff-with-jitter delays
 //    are a pure function of (policy, attempt), bounded by max_delay_s.
-//  * Degraded serving: a pipeline whose database fails to open under
-//    degrade_on_db_error compiles BIT-IDENTICAL to a database-free
-//    pipeline, and reports db_degraded().
 //  * pipeline.restart: an injected restart-boundary fault recomputes the
 //    job and the response stays byte-identical (purity).
 #include <gtest/gtest.h>
@@ -86,18 +83,17 @@ TEST_F(FailpointTest, DisabledPointStaysSilentWhileAnotherIsArmed) {
 
 TEST_F(FailpointTest, ParsesFullAndDefaultedSpecs) {
   std::string err;
-  const auto specs =
-      fail::parse_spec("db.write.short:0.5:42,service.recv,cache.insert:1",
-                       &err);
+  const auto specs = fail::parse_spec(
+      "pipeline.restart:0.5:42,service.recv,service.accept:1", &err);
   ASSERT_TRUE(specs.has_value()) << err;
   ASSERT_EQ(specs->size(), 3u);
-  EXPECT_EQ((*specs)[0].name, "db.write.short");
+  EXPECT_EQ((*specs)[0].name, "pipeline.restart");
   EXPECT_DOUBLE_EQ((*specs)[0].prob, 0.5);
   EXPECT_EQ((*specs)[0].seed, 42u);
   EXPECT_EQ((*specs)[1].name, "service.recv");
   EXPECT_DOUBLE_EQ((*specs)[1].prob, 1.0);  // default
   EXPECT_EQ((*specs)[1].seed, 0u);          // default
-  EXPECT_EQ((*specs)[2].name, "cache.insert");
+  EXPECT_EQ((*specs)[2].name, "service.accept");
   EXPECT_DOUBLE_EQ((*specs)[2].prob, 1.0);
 }
 
@@ -224,7 +220,7 @@ TEST_F(FailpointTest, RetryDelaysAreDeterministicAndBounded) {
   EXPECT_DOUBLE_EQ(service::retry_delay_s(fixed, 20), 0.5);
 }
 
-// ---- degradation + restart-boundary bit-identity --------------------------
+// ---- restart-boundary bit-identity ----------------------------------------
 
 core::CompileRequest tiny_request(const std::string& name) {
   core::CompileScenario s;
@@ -255,24 +251,6 @@ std::string canonical(const core::CompileResponse& response) {
              service::protocol::summarize(response,
                                           /*include_circuits=*/true))
       .encode();
-}
-
-TEST_F(FailpointTest, DegradedPipelineServesBitIdenticalToNoDatabase) {
-  const std::string bogus =
-      ::testing::TempDir() + "failpoint_no_such_database.fdb";
-  std::remove(bogus.c_str());
-  core::CompilePipeline degraded({.workers = 2,
-                                  .database_path = bogus,
-                                  .degrade_on_db_error = true});
-  EXPECT_TRUE(degraded.db_degraded());
-  EXPECT_EQ(degraded.database(), nullptr);
-  EXPECT_EQ(obs::registry().gauge("service.degraded").value(), 1);
-
-  core::CompilePipeline plain({.workers = 2});
-  EXPECT_FALSE(plain.db_degraded());
-  const core::CompileRequest request = tiny_request("degraded");
-  EXPECT_EQ(canonical(degraded.compile(request)),
-            canonical(plain.compile(request)));
 }
 
 TEST_F(FailpointTest, RestartFaultRecomputesBitIdentically) {

@@ -1,6 +1,6 @@
 // Tests for the parallel multi-restart compilation pipeline
 // (core/pipeline.hpp) and its substrate: the thread pool, derived seed
-// streams, the common optimizer restart driver, and the synthesis memo.
+// streams, and the common optimizer restart driver.
 //
 // The load-bearing property is determinism: one master seed must yield
 // bit-identical best plans for ANY worker count, which is what makes the CI
@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "opt/restart.hpp"
-#include "synth/synthesis_cache.hpp"
 #include "vqe/uccsd.hpp"
 
 namespace femto {
@@ -175,82 +174,6 @@ TEST(RestartDriver, GtspRestartsNeverWorse) {
   EXPECT_GE(multi, single - 1e-12);
 }
 
-TEST(SynthesisCache, HitIsBitIdenticalToFreshSynthesis) {
-  // Two-block sequence over 4 qubits; second synthesize must hit.
-  std::vector<synth::RotationBlock> seq;
-  synth::RotationBlock a;
-  a.string = pauli::PauliString::from_string("XXYI");
-  a.target = 0;
-  a.angle_coeff = 0.25;
-  a.param = 0;
-  synth::RotationBlock b;
-  b.string = pauli::PauliString::from_string("XYII");
-  b.target = 0;
-  b.angle_coeff = -0.5;
-  b.param = 1;
-  seq.push_back(a);
-  seq.push_back(b);
-
-  synth::SynthesisCache cache;
-  const auto direct = synth::synthesize_sequence(4, seq);
-  const auto first = cache.synthesize(4, seq);
-  const auto second = cache.synthesize(4, seq);
-  EXPECT_EQ(first.to_string(), direct.to_string());
-  EXPECT_EQ(second.to_string(), direct.to_string());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // A different angle must be a different key (no false sharing).
-  seq[1].angle_coeff = 0.75;
-  const auto third = cache.synthesize(4, seq);
-  EXPECT_EQ(third.to_string(), synth::synthesize_sequence(4, seq).to_string());
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(SynthesisCache, ConcurrentHitMissStatsStayConsistent) {
-  // Hammer one shared cache from many threads over a small key set -- the
-  // access pattern of a verification-enabled batch compile. Outputs must be
-  // bit-identical to fresh synthesis, and the stats must add up: every call
-  // is either a hit or a miss, every distinct key at least one miss (racing
-  // first-comers may synthesize a key twice, but never corrupt it).
-  const std::size_t n = 5;
-  Rng rng(61);
-  std::vector<std::vector<synth::RotationBlock>> sequences;
-  for (int s = 0; s < 6; ++s) {
-    std::vector<synth::RotationBlock> seq;
-    for (int k = 0; k < 3; ++k) {
-      synth::RotationBlock b;
-      pauli::PauliString p(n);
-      while (p.weight() < 2)
-        p.set_letter(rng.index(n), static_cast<pauli::Letter>(1 + rng.index(3)));
-      b.string = p;
-      b.target = p.support().lowest_set();
-      b.angle_coeff = rng.uniform(-1, 1);
-      b.param = k;
-      seq.push_back(std::move(b));
-    }
-    sequences.push_back(std::move(seq));
-  }
-  std::vector<std::string> expected;
-  for (const auto& seq : sequences)
-    expected.push_back(synth::synthesize_sequence(n, seq).to_string());
-
-  synth::SynthesisCache cache;
-  constexpr std::size_t kCalls = 600;
-  std::atomic<int> wrong{0};
-  ThreadPool pool(8);
-  pool.parallel_for(kCalls, [&](std::size_t i) {
-    const std::size_t s = i % sequences.size();
-    if (cache.synthesize(n, sequences[s]).to_string() != expected[s])
-      wrong.fetch_add(1);
-  });
-  EXPECT_EQ(wrong.load(), 0);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kCalls);
-  EXPECT_GE(stats.misses, sequences.size());
-  EXPECT_EQ(cache.size(), sequences.size());
-}
-
 core::CompileScenario scenario(const std::string& name, const Fixture& f) {
   return {name, f.n, f.terms, fast_options()};
 }
@@ -281,8 +204,7 @@ TEST(Pipeline, VerifyOnCertifiesEveryRestartAndScenario) {
   for (const auto& report : multi.verification)
     EXPECT_TRUE(report.equivalent()) << report.to_string();
 
-  // Two scenarios: per-scenario verification slices, all certified, shared
-  // synthesis cache in heavy concurrent use.
+  // Two scenarios: per-scenario verification slices, all certified.
   const core::CompileResponse batch = compile_done(
       pipeline, {.scenarios = {s, s}, .restarts = 3, .verify = true});
   ASSERT_EQ(batch.outcomes.size(), 2u);
@@ -290,7 +212,6 @@ TEST(Pipeline, VerifyOnCertifiesEveryRestartAndScenario) {
     ASSERT_EQ(oc.result.verification.size(), 3u);
     EXPECT_TRUE(oc.result.all_verified());
   }
-  EXPECT_GT(pipeline.cache().stats().hits, 0u);
 }
 
 TEST(Pipeline, VerifyOnDoesNotChangeResults) {
@@ -474,6 +395,46 @@ TEST(Pipeline, CompileRequestRejectsInvalidInputWithDiagnostic) {
   }
   // A long but representable budget (~31 years) is an ordinary request.
   EXPECT_TRUE(pipeline.compile({.scenarios = {s}, .deadline_s = 1e9}).done());
+
+  // Requests too large to run: compile() allocates a slot per restart job
+  // (scenarios x targets x restarts) up front, and every stage allocates
+  // per qubit. The diagnostic names the offending value.
+  core::CompileScenario wide = s;
+  wide.num_qubits = 1000000000;
+  core::CompileScenario at_width_cap = s;
+  at_width_cap.num_qubits = core::kMaxRequestQubits + 1;
+  const struct {
+    core::CompileRequest request;
+    std::string want;
+  } size_rows[] = {
+      {{.scenarios = {s}, .restarts = 1000000000}, "x 1000000000 restarts"},
+      {{.scenarios = {s}, .restarts = core::kMaxRequestJobs + 1},
+       std::to_string(core::kMaxRequestJobs + 1) + " restarts, more than"},
+      {{.scenarios = {s, s},
+        .targets = {synth::HardwareTarget::all_to_all_cnot(),
+                    synth::HardwareTarget::all_to_all_cnot()},
+        .restarts = core::kMaxRequestJobs / 4 + 1},
+       "2 scenarios x 2 targets x"},
+      {{.scenarios = {s}, .restarts = std::numeric_limits<std::size_t>::max()},
+       std::to_string(std::numeric_limits<std::size_t>::max()) + " restarts"},
+      {{.scenarios = {wide}}, "scenario 'h2': num_qubits 1000000000 exceeds"},
+      {{.scenarios = {at_width_cap}},
+       "num_qubits " + std::to_string(core::kMaxRequestQubits + 1)},
+  };
+  for (const auto& row : size_rows) {
+    const core::CompileResponse r = pipeline.compile(row.request);
+    EXPECT_EQ(r.status, core::RequestStatus::kRejected) << row.want;
+    EXPECT_NE(r.detail.find(row.want), std::string::npos)
+        << "missing '" << row.want << "' in: " << r.detail;
+  }
+  // The job cap itself is an ordinary request size (rejected here only by
+  // the pre-set cancel flag, after validation passed).
+  const std::atomic<bool> cancelled{true};
+  const core::CompileResponse at_cap =
+      pipeline.compile({.scenarios = {s},
+                        .restarts = core::kMaxRequestJobs,
+                        .cancel = &cancelled});
+  EXPECT_EQ(at_cap.status, core::RequestStatus::kCancelled) << at_cap.detail;
 }
 
 TEST(Pipeline, CompileRequestHonorsCancelAndDeadline) {

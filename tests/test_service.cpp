@@ -6,9 +6,9 @@
 //
 // The load-bearing property mirrors the pipeline's: a seeded request must
 // produce a BYTE-IDENTICAL canonical response whether compiled in-process,
-// through a cold service, coalesced with concurrent identical submissions,
-// or after the shared cache warmed up -- that is what makes femtod a cache
-// you can trust rather than a nondeterministic middleman.
+// through the service, or coalesced with concurrent identical submissions
+// -- that is what makes femtod a service you can trust rather than a
+// nondeterministic middleman.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -240,6 +240,58 @@ TEST(ServiceProtocol, ResponseRoundTripCarriesCircuits) {
   ASSERT_TRUE(circuit.has_value());
   EXPECT_EQ(circuit->gates(),
             response.outcomes[0].result.best.final_circuit().gates());
+}
+
+/// The shipped-circuit codec is the only decoder of circuit bytes that
+/// come from outside the process: every malformed payload must come back
+/// as nullopt, never as a circuit with a gate outside its width.
+TEST(ServiceProtocol, WireCircuitRejectsMalformedBytes) {
+  using service::protocol::decode_wire_circuit;
+  using service::protocol::encode_hex;
+  circuit::QuantumCircuit c(3);
+  c.append(circuit::Gate::cnot(0, 2));
+  c.append(circuit::Gate::rz(1, 0.25, 0));
+  const std::string bytes = service::protocol::encode_circuit(c);
+  ASSERT_EQ(bytes.size(), 8u + 2u * 24u);
+  const std::string hex = encode_hex(bytes);
+  const auto good = decode_wire_circuit(hex);
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->num_qubits(), 3u);
+  EXPECT_EQ(good->gates(), c.gates());
+
+  // Overwrites the little-endian u32 at byte offset `at`. Layout: u32
+  // width, u32 gate count, then 24 bytes per gate {kind, q0, q1, param,
+  // angle bits u64}; gate 0 (the CNOT) starts at byte 8, gate 1 at 32.
+  const auto patched = [&bytes](std::size_t at, std::uint32_t v) {
+    std::string b = bytes;
+    for (std::size_t k = 0; k < 4; ++k)
+      b[at + k] = static_cast<char>((v >> (8 * k)) & 0xff);
+    return encode_hex(b);
+  };
+  const auto unknown_kind =
+      static_cast<std::uint32_t>(circuit::GateKind::kXYrot) + 1;
+  const struct {
+    std::string hex;
+    const char* why;
+  } rows[] = {
+      {hex.substr(1), "odd hex length"},
+      {"zz" + hex.substr(2), "non-hex digits"},
+      {"0G" + hex.substr(2), "non-hex digit in the low nibble"},
+      {"", "no bytes"},
+      {encode_hex(bytes.substr(0, 7)), "fewer than 8 bytes"},
+      {encode_hex(bytes.substr(0, 8)), "header promising 2 gates, none sent"},
+      {patched(4, 3), "gate count above the payload size"},
+      {patched(4, 1), "gate count below the payload size"},
+      {encode_hex(bytes + std::string(24, '\0')), "unannounced extra gate"},
+      {patched(8, unknown_kind), "unknown gate kind"},
+      {patched(8, 0xffffffffu), "gate kind all ones"},
+      {patched(12, 3), "two-qubit gate q0 == width"},
+      {patched(16, 7), "two-qubit gate q1 > width"},
+      {patched(36, 3), "one-qubit gate q0 == width"},
+      {patched(0, 2), "width shrunk below a gate's qubit"},
+  };
+  for (const auto& row : rows)
+    EXPECT_FALSE(decode_wire_circuit(row.hex).has_value()) << row.why;
 }
 
 // --- lifecycle: the whole 7x7 edge table ------------------------------------

@@ -30,7 +30,7 @@ Gating rules, tuned so the gate is trustworthy across machines:
 * Metrics listed in ABS_EXACT must equal a pinned value exactly
   (determinism anchors, e.g. the all-to-all hardware target's water CNOT
   count == the committed Table-1 Adv baseline).
-* metrics prefixed info_ (cache hit counters etc.) are informational only.
+* metrics prefixed info_ (fleet sizes, event counts, ...) are informational only.
 * A section or metric present in the baseline but missing from the fresh
   file fails the gate (coverage must not silently disappear); pass
   --allow-missing to downgrade that to a warning.
@@ -72,10 +72,6 @@ ABS_FLOORS = {
     "compile_hot": {"gamma_eval_speedup": 3.0, "gtsp_ga_speedup": 2.0,
                     "simd_wordops_speedup": 1.5,
                     "gt_real_cost_speedup": 2.5},
-    # Serving compiled segments from the mmap'd compilation database must
-    # stay at memory speed (binary search + circuit decode). The reference
-    # machine does >1M lookups/s; the floor leaves ~20x headroom.
-    "db": {"warm_lookups_per_s": 50000.0},
     # End-to-end daemon serving (bench_service drives a real femtod over
     # its socket): the reference machine serves ~30-75 plans/s through the
     # wire protocol; the floor only guards against pathological collapse
@@ -140,30 +136,21 @@ ABS_EXACT = {
     # path's per-element op tree diverged from the portable reference.
     "statevector": {"*/simd_bit_identical": 1.0},
     "compile_hot": {"*/simd_bit_identical": 1.0},
-    # The compilation database's bit-identity contract, end to end: a warm
-    # recompile against the prebuilt DB must reproduce the cold results
-    # field-for-field (warm_equals_cold) and verify-on-compile must certify
-    # every DB-served circuit (warm_verified). Any value but 1.0 means the
-    # database served a circuit that differs from fresh synthesis.
-    "db": {"*/warm_equals_cold": 1.0, "*/warm_verified": 1.0},
     # The daemon determinism + lifecycle contract, end to end over the wire
     # (bench_service boots femtod and byte-compares every served response
-    # against the same request compiled in-process): serving, coalescing,
-    # and database-warm serving must all be bit-identical, deadlines must
-    # actually fire, and graceful shutdown must drain cleanly.
+    # against the same request compiled in-process): serving and
+    # coalescing must both be bit-identical, deadlines must actually fire,
+    # and graceful shutdown must drain cleanly.
     "service": {
         "*/served_equals_inprocess": 1.0,
         "*/coalesced_identical": 1.0,
-        "*/db_warm_equals_inprocess": 1.0,
         "*/deadline_enforced": 1.0,
         "*/clean_shutdown": 1.0,
         # The resilience contract (bench_service chaos section): the
         # fault-injection framework's disabled path must stay allocation-
-        # free, injected short-write/fsync faults must never corrupt the
-        # published database, and a retrying client fleet driven through
-        # injected connection drops must land byte-identical responses.
+        # free, and a retrying client fleet driven through injected
+        # connection drops must land byte-identical responses.
         "*/failpoint_disabled_zero_alloc": 1.0,
-        "*/chaos_db_survived": 1.0,
         "*/chaos_responses_identical": 1.0,
     },
     # The tracing contract (bench_pipeline trace_overhead section): the

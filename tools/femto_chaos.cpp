@@ -3,24 +3,19 @@
 //
 //   femto_chaos <path-to-femtod>
 //
-// One run walks the whole resilience story of README "Resilience":
+// One run walks the resilience story of README "Resilience":
 //
-//   1. Builds a small compilation database (.fdb) and compiles the same
-//      seeded requests in-process for the byte-identity reference.
-//   2. Torn write: a forked child arms db.write.kill and dies (exit 137)
-//      mid-rewrite of that database; the parent requires the on-disk bytes
-//      unchanged and the database still loadable (crash-safe persistence).
-//   3. Boots a real femtod on the database, arms service.recv /
-//      service.accept over the wire (`failpoints` op), and drives a fleet
-//      of retrying clients (CompileClient::compile_retry) through the
-//      injected connection drops.
-//   4. SIGKILLs the daemon mid-serve, requires the .fdb bytes survived,
-//      respawns on the same socket path, and requires the still-retrying
-//      fleet to finish with every response byte-identical to the
-//      in-process reference.
-//   5. Degradation: a corrupt database must fail boot (exit 2) without
-//      --degrade-on-db-error, and with the flag must serve bit-identical
-//      to the no-database pipeline while `stats` reports degraded:true.
+//   1. Compiles the seeded requests in-process for the byte-identity
+//      reference.
+//   2. Boots a real femtod, arms service.recv / service.accept over the
+//      wire (`failpoints` op), and drives a fleet of retrying clients
+//      (CompileClient::compile_retry) through the injected connection drops.
+//   3. SIGKILLs the daemon mid-serve, respawns it on the same socket path,
+//      and requires the still-retrying fleet to finish with every response
+//      byte-identical to the in-process reference.
+//   4. Hostile requests: a compile line asking for 1e9 restarts (one job
+//      slot each) and one asking for 1e9 qubits must both be answered
+//      REJECTED, and the daemon must still answer ping afterwards.
 //
 // The ctest runs with no environment; CI's chaos leg additionally exports
 // FEMTO_FAILPOINTS so the daemon boots with faults already armed (the
@@ -30,8 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +35,6 @@
 
 #include "common/failpoint.hpp"
 #include "core/pipeline.hpp"
-#include "db/database.hpp"
 #include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
@@ -98,23 +90,21 @@ std::string canonical(const core::CompileResponse& response) {
       .encode();
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return in ? out.str() : "";
+pid_t spawn_femtod(const std::string& femtod, const std::string& socket_path) {
+  return service::spawn_process(
+      {femtod, "--socket", socket_path, "--workers", "2"});
 }
 
-pid_t spawn_femtod(const std::string& femtod, const std::string& socket_path,
-                   const std::string& db_path, bool degrade) {
-  std::vector<std::string> argv = {femtod, "--socket", socket_path,
-                                   "--workers", "2"};
-  if (!db_path.empty()) {
-    argv.push_back("--db");
-    argv.push_back(db_path);
-  }
-  if (degrade) argv.push_back("--degrade-on-db-error");
-  return service::spawn_process(argv);
+/// Sends one raw compile line and returns the daemon's replies to it (the
+/// ack and the result, in either order) concatenated; "" if none came.
+std::string raw_compile(service::CompileClient& client,
+                        const std::string& line) {
+  std::string replies;
+  if (!client.connection().send_line(line)) return replies;
+  for (int i = 0; i < 2; ++i)
+    if (const auto reply = client.connection().recv_line(5000))
+      replies += *reply;
+  return replies;
 }
 
 }  // namespace
@@ -126,18 +116,17 @@ int main(int argc, char** argv) {
   }
   const std::string femtod = argv[1];
   const std::string base = "/tmp/femto-chaos-" + std::to_string(::getpid());
-  const std::string db_path = base + ".fdb";
 
   // FEMTO_FAILPOINTS in the environment is for the daemons this tool
   // spawns (they inherit and re-parse it); the harness itself must build
-  // its database and reference responses fault-free, so its own in-process
-  // registry is cleared up front. CI's chaos leg arms bit-identity-
-  // preserving faults (cache.insert, pipeline.restart) in the env; the
-  // connection-tearing faults are armed over the wire below, where the
-  // fleet is built to retry through them.
+  // its reference responses fault-free, so its own in-process registry is
+  // cleared up front. CI's chaos leg arms the bit-identity-preserving
+  // pipeline.restart fault in the env; the connection-tearing faults are
+  // armed over the wire below, where the fleet is built to retry through
+  // them.
   fail::registry().disarm_all();
 
-  // ---- phase 1: database + in-process reference ---------------------------
+  // ---- phase 1: in-process reference --------------------------------------
   const std::vector<core::CompileScenario> scenarios = chaos_scenarios();
   std::vector<core::CompileRequest> requests;
   for (const core::CompileScenario& s : scenarios)
@@ -146,12 +135,9 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> reference;
   {
-    db::DatabaseBuilder builder;
-    // Scoped so the worker threads are joined before the fork below.
-    core::CompilePipeline recorder({.workers = 2});
-    recorder.set_store(&builder);
+    core::CompilePipeline pipeline({.workers = 2});
     for (const core::CompileRequest& r : requests) {
-      const core::CompileResponse response = recorder.compile(r);
+      const core::CompileResponse response = pipeline.compile(r);
       if (!response.done()) {
         std::fprintf(stderr, "chaos: reference compile failed: %s\n",
                      response.detail.c_str());
@@ -159,48 +145,11 @@ int main(int argc, char** argv) {
       }
       reference.push_back(canonical(response));
     }
-    if (const std::string err = builder.write(db_path); !err.empty()) {
-      std::fprintf(stderr, "chaos: db build failed: %s\n", err.c_str());
-      return 2;
-    }
-  }
-  const std::string db_bytes = read_file(db_path);
-  check(!db_bytes.empty(), "database built");
-
-  // ---- phase 2: torn write (kill mid-rewrite) -----------------------------
-  {
-    const pid_t child = ::fork();
-    if (child == 0) {
-      // Rewrite the database with db.write.kill armed: the first chunk
-      // write _Exit(137)s, leaving a torn tmp file but never touching the
-      // published path.
-      fail::registry().arm_one({"db.write.kill", 1.0, 1});
-      std::string err;
-      const auto db = db::Database::open(db_path, &err);
-      if (db.has_value()) {
-        db::DatabaseBuilder again;
-        again.merge_from(*db);
-        (void)again.write(db_path);
-      }
-      ::_exit(0);  // only reached if the failpoint never fired
-    }
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    check(WIFEXITED(status) && WEXITSTATUS(status) == 137,
-          "torn-write child died mid-write (exit 137)");
-    check(read_file(db_path) == db_bytes,
-          "database bytes untouched by the torn write");
-    std::string err;
-    const auto reopened = db::Database::open(db_path, &err);
-    check(reopened.has_value() &&
-              reopened->entry_count() == requests.size(),
-          "database still loadable after the torn write");
-    ::unlink((db_path + ".tmp." + std::to_string(child)).c_str());
   }
 
-  // ---- phase 3+4: daemon under chaos, SIGKILL, restart, fleet -------------
+  // ---- phase 2+3: daemon under chaos, SIGKILL, restart, fleet -------------
   const std::string socket_path = base + "-serve.sock";
-  pid_t daemon = spawn_femtod(femtod, socket_path, db_path, false);
+  pid_t daemon = spawn_femtod(femtod, socket_path);
   if (daemon < 0) {
     std::fprintf(stderr, "chaos: cannot spawn %s\n", femtod.c_str());
     return 2;
@@ -256,8 +205,8 @@ int main(int argc, char** argv) {
   }
 
   // SIGKILL the daemon once the fleet is mid-serve (at least one response
-  // landed, more in flight), then verify the database and respawn on the
-  // same socket path. The fleet's retry policies ride out the gap.
+  // landed, more in flight), then respawn on the same socket path. The
+  // fleet's retry policies ride out the gap.
   const auto kill_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   while (completed.load() < 1 &&
@@ -270,9 +219,7 @@ int main(int argc, char** argv) {
     check(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL,
           "daemon SIGKILLed mid-serve");
   }
-  check(read_file(db_path) == db_bytes, "database bytes survived the SIGKILL");
-
-  daemon = spawn_femtod(femtod, socket_path, db_path, false);
+  daemon = spawn_femtod(femtod, socket_path);
   check(daemon > 0, "daemon respawned on the same socket path");
   for (std::thread& t : fleet) t.join();
   check(fleet_failures.load() == 0,
@@ -283,63 +230,36 @@ int main(int argc, char** argv) {
       obs::registry().counter("service.retries").value();
   check(retries_after > retries_before,
         "the fleet actually retried (service.retries grew)");
+
+  // ---- phase 4: requests too large to run, then ping ----------------------
   {
     auto conn = service::wait_for_server(socket_path, 2000);
     bool clean = false;
     if (conn.has_value()) {
       service::CompileClient client(std::move(*conn));
+      const std::string restarts = raw_compile(
+          client,
+          R"({"op":"compile","id":"huge-restarts","request":{"scenarios":)"
+          R"([{"name":"x","num_qubits":4,"terms":[["s",0,2,0.1]]}],)"
+          R"("restarts":1000000000}})");
+      check(restarts.find(R"("state":"REJECTED")") != std::string::npos &&
+                restarts.find("1000000000 restarts") != std::string::npos,
+            "1e9-restart request answered REJECTED, naming the count");
+      const std::string qubits = raw_compile(
+          client,
+          R"({"op":"compile","id":"huge-qubits","request":{"scenarios":)"
+          R"([{"name":"x","num_qubits":1000000000,"terms":[["s",0,2,0.1]]}],)"
+          R"("restarts":1}})");
+      check(qubits.find(R"("state":"REJECTED")") != std::string::npos &&
+                qubits.find("num_qubits 1000000000") != std::string::npos,
+            "1e9-qubit request answered REJECTED, naming the width");
+      check(client.ping(), "daemon answers ping after the hostile requests");
       clean = client.shutdown();
     }
     clean = service::wait_process(daemon) == 0 && clean;
     check(clean, "respawned daemon drained cleanly");
   }
 
-  // ---- phase 5: corrupt database -> loud failure or loud degradation ------
-  const std::string corrupt_path = base + "-corrupt.fdb";
-  {
-    std::ofstream out(corrupt_path, std::ios::binary);
-    out << "this is not a compilation database\n";
-  }
-  {
-    // Without the flag a corrupt --db must be a boot failure, exit 2.
-    const pid_t strict =
-        spawn_femtod(femtod, base + "-strict.sock", corrupt_path, false);
-    check(strict > 0 && service::wait_process(strict) == 2,
-          "corrupt database without --degrade-on-db-error exits 2");
-  }
-  {
-    const std::string degraded_socket = base + "-degraded.sock";
-    const pid_t degraded =
-        spawn_femtod(femtod, degraded_socket, corrupt_path, true);
-    bool served_identical = false;
-    bool stats_degraded = false;
-    bool clean = false;
-    if (degraded > 0) {
-      if (auto conn = service::wait_for_server(degraded_socket)) {
-        service::CompileClient client(std::move(*conn));
-        std::string err;
-        const auto served = client.compile(requests[0], "degraded-1", err,
-                                           /*include_circuit=*/true);
-        served_identical = served.has_value() &&
-                           served->state == service::RequestState::kDone &&
-                           served->canonical_response == reference[0];
-        const auto stats = client.stats();
-        const service::json::Value* flag =
-            stats.has_value() ? stats->find("degraded") : nullptr;
-        stats_degraded =
-            flag != nullptr && flag->is_bool() && flag->as_bool();
-        clean = client.shutdown();
-      }
-      clean = service::wait_process(degraded) == 0 && clean;
-    }
-    check(served_identical,
-          "degraded daemon serves bit-identical to the no-database pipeline");
-    check(stats_degraded, "degraded daemon reports degraded:true in stats");
-    check(clean, "degraded daemon drained cleanly");
-  }
-
-  ::unlink(db_path.c_str());
-  ::unlink(corrupt_path.c_str());
   if (g_failures == 0) {
     std::printf("chaos: ok (all phases)\n");
     return 0;

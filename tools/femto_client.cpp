@@ -14,8 +14,13 @@
 //   femto-client --socket <path> shutdown [--cancel]
 //   femto-client --socket <path> compile <scenarios.jsonl>
 //       Submits every canonical protocol scenario in the file (one per
-//       line, as written by `femto-db export-scenarios`) as ONE request
-//       and prints the per-scenario plan summary.
+//       line, as written by `femto-client export-scenarios`) as ONE
+//       request and prints the per-scenario plan summary.
+//
+//   femto-client export-scenarios <suite> <out.jsonl>
+//       Writes a named bench suite (small | table1, bench/bench_fixtures.hpp)
+//       as canonical protocol scenario JSON, one per line -- the input
+//       `compile` takes. Needs no daemon.
 //
 //   femto-client --smoke <path-to-femtod>
 //       Boots a fresh femtod (with tracing on) on a private socket, pings
@@ -39,6 +44,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include "bench_fixtures.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 
@@ -52,6 +58,7 @@ int usage() {
       "usage: femto-client --socket <path> "
       "ping|stats|metrics|trace|shutdown [--cancel]\n"
       "       femto-client --socket <path> compile <scenarios.jsonl>\n"
+      "       femto-client export-scenarios <suite> <out.jsonl>\n"
       "       femto-client --smoke <path-to-femtod>\n");
   return 2;
 }
@@ -312,10 +319,31 @@ int cmd_compile(service::CompileClient& client, const std::string& path) {
   return served->state == service::RequestState::kDone ? 0 : 1;
 }
 
+int cmd_export_scenarios(const std::string& suite,
+                         const std::string& out_path) {
+  const std::vector<core::CompileScenario> scenarios =
+      bench::suite_scenarios(suite);
+  if (scenarios.empty()) {
+    std::fprintf(stderr, "femto-client: unknown suite '%s'\n", suite.c_str());
+    return usage();
+  }
+  std::ofstream out(out_path);
+  if (!out) {
+    std::fprintf(stderr, "femto-client: cannot write %s\n", out_path.c_str());
+    return 2;
+  }
+  for (const core::CompileScenario& s : scenarios)
+    out << service::protocol::encode_scenario(s).encode() << '\n';
+  out.close();
+  std::printf("wrote %zu canonical scenarios to %s\n", scenarios.size(),
+              out_path.c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string socket_path, smoke_path, command, operand;
+  std::string socket_path, smoke_path, command, operand, operand2;
   bool cancel = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -336,11 +364,16 @@ int main(int argc, char** argv) {
       command = arg;
     } else if (operand.empty()) {
       operand = arg;
+    } else if (operand2.empty()) {
+      operand2 = arg;
     } else {
       return usage();
     }
   }
   if (!smoke_path.empty()) return cmd_smoke(smoke_path);
+  if (command == "export-scenarios")
+    return operand2.empty() ? usage() : cmd_export_scenarios(operand, operand2);
+  if (!operand2.empty()) return usage();
   if (socket_path.empty() || command.empty()) return usage();
 
   auto conn = service::wait_for_server(socket_path, /*timeout_ms=*/2000);

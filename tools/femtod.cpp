@@ -1,28 +1,19 @@
 // femtod: the long-running compilation service daemon.
 //
-// Boots one shared CompilePipeline (one SynthesisCache, optionally backed
-// by a persistent database as read-through L2), binds an AF_UNIX socket,
-// and serves the JSON-line protocol of src/service/server.hpp: compile
-// requests stream in, lifecycle-tracked tickets stream results back, and
-// identical in-flight requests coalesce onto one execution.
+// Boots one CompilePipeline, binds an AF_UNIX socket, and serves the
+// JSON-line protocol of src/service/server.hpp: compile requests stream
+// in, lifecycle-tracked tickets stream results back, and identical
+// in-flight requests coalesce onto one execution.
 //
-//   femtod --socket <path> [--workers N] [--max-queue N] [--db <path.fdb>]
+//   femtod --socket <path> [--workers N] [--max-queue N]
 //          [--default-deadline S] [--trace-dir <dir>] [--log]
-//          [--degrade-on-db-error]
-//
-// --degrade-on-db-error turns a missing/corrupt --db file from a boot
-// failure (exit 2) into DEGRADED serving: a loud stderr line, the
-// service.degraded gauge raised, and every compile served from pure
-// in-process synthesis -- bit-identical to a daemon that never had a
-// database (the DB only memoizes a pure function). The `stats` op reports
-// "degraded": true so fleets can alert on it.
 //
 // --trace-dir enables per-request tracing: every completed work writes a
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) to
 // <dir>/request-<id>.json, and the `trace` wire op serves the most recent
 // one. The `metrics` op (always available) exports the unified metrics
-// registry: cache hit/miss counters, request-latency percentiles, live
-// queue gauges.
+// registry: request and solver counters, request-latency percentiles,
+// live queue gauges.
 //
 // Prints "femtod: serving on <path>" once the socket accepts connections
 // (drivers wait for the line OR poll-connect the socket). Shuts down on
@@ -40,7 +31,6 @@
 #include <sys/stat.h>
 
 #include "common/failpoint.hpp"
-#include "db/database.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -52,8 +42,7 @@ void on_signal(int) { g_stop = 1; }
 int usage() {
   std::fprintf(stderr,
                "usage: femtod --socket <path> [--workers N] [--max-queue N] "
-               "[--db <path.fdb>] [--default-deadline S] "
-               "[--trace-dir <dir>] [--log] [--degrade-on-db-error]\n");
+               "[--default-deadline S] [--trace-dir <dir>] [--log]\n");
   return 2;
 }
 
@@ -62,7 +51,7 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace femto;
 
-  std::string socket_path, db_path;
+  std::string socket_path;
   service::ServiceOptions service_options;
   bool log = false;
   for (int i = 1; i < argc; ++i) {
@@ -83,10 +72,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       service_options.max_queue = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--db") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      db_path = v;
     } else if (arg == "--default-deadline") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -97,8 +82,6 @@ int main(int argc, char** argv) {
       service_options.trace_dir = v;
     } else if (arg == "--log") {
       log = true;
-    } else if (arg == "--degrade-on-db-error") {
-      service_options.pipeline.degrade_on_db_error = true;
     } else {
       return usage();
     }
@@ -117,20 +100,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!db_path.empty()) {
-    // Validate up front for a clean exit code; the pipeline re-opens it
-    // (and would abort on failure, which a daemon should never do on argv).
-    // With --degrade-on-db-error the pipeline ctor handles the failure
-    // itself (loud log + degraded serving), so boot proceeds.
-    std::string err;
-    if (!db::Database::open(db_path, &err).has_value() &&
-        !service_options.pipeline.degrade_on_db_error) {
-      std::fprintf(stderr, "femtod: %s\n", err.c_str());
-      return 2;
-    }
-    service_options.pipeline.database_path = db_path;
-  }
-
   // Force FEMTO_FAILPOINTS parsing now: a malformed spec must kill the
   // boot, not the first armed evaluation mid-serve.
   static_cast<void>(fail::registry());
@@ -146,14 +115,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "femtod: %s\n", err.c_str());
     return 2;
   }
-  std::printf("femtod: serving on %s (workers %zu, queue %zu%s)\n",
+  std::printf("femtod: serving on %s (workers %zu, queue %zu)\n",
               socket_path.c_str(),
               server.service().pipeline().worker_count(),
-              service_options.max_queue,
-              db_path.empty() ? ""
-              : server.service().pipeline().db_degraded()
-                  ? ", db DEGRADED"
-                  : ", db attached");
+              service_options.max_queue);
   std::fflush(stdout);
 
   server.run([] { return g_stop != 0; });
