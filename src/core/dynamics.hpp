@@ -11,7 +11,6 @@
 #include "core/compiler.hpp"
 #include "core/rotation_blocks.hpp"
 #include "core/sorting.hpp"
-#include "sim/batched.hpp"
 #include "synth/pauli_exponential.hpp"
 
 namespace femto::core {
@@ -46,18 +45,6 @@ struct TrotterResult {
     sym.back().angle_coeff *= 0.5;
   }
   return synth::synthesize_sequence(n, sym);
-}
-
-/// Advances a batch of initial states through `num_steps` repetitions of a
-/// compiled Trotter step -- the one-circuit -> B-states case batched
-/// simulation exists for (e.g. evolving an ensemble of product states or
-/// perturbed references under the same dynamics). Amplitudes are
-/// bit-identical to evolving each state through sim::StateVector.
-[[nodiscard]] inline sim::BatchedState evolve_states(
-    const circuit::QuantumCircuit& step, std::size_t num_steps,
-    sim::BatchedState state) {
-  for (std::size_t s = 0; s < num_steps; ++s) state.apply_circuit(step);
-  return state;
 }
 
 /// Compiles one Trotter step for a Hermitian PauliSum Hamiltonian.

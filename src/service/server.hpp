@@ -71,14 +71,13 @@ struct ServiceOptions {
   std::size_t max_queue = 64;
   /// Deadline applied to requests that carry none (0 = unlimited).
   double default_deadline_s = 0.0;
-  /// Log admission rejections and lifecycle summaries to stderr.
+  /// Log admission rejections, lifecycle summaries and connection errors
+  /// to stderr.
   bool log = false;
-  /// Capture a per-request span tree (queue wait -> run -> per-restart ->
-  /// per-stage) for every work. The last trace is served by the `trace`
-  /// wire op; with trace_dir set, each trace is also written to
+  /// Non-empty: capture a per-request span tree (queue wait -> run ->
+  /// per-restart -> per-stage) for every work and write it to
   /// <trace_dir>/request-<id>.json (Chrome trace-event format, loadable in
-  /// Perfetto). Tracing is enabled iff trace || !trace_dir.empty().
-  bool trace = false;
+  /// Perfetto). The last trace is also served by the `trace` wire op.
   std::string trace_dir;
 };
 
@@ -311,7 +310,7 @@ class Service {
     return stats_;
   }
   [[nodiscard]] bool tracing_enabled() const {
-    return options_.trace || !options_.trace_dir.empty();
+    return !options_.trace_dir.empty();
   }
   /// Chrome trace-event JSON of the most recently completed work (empty
   /// until the first traced work finishes). Served by the `trace` wire op.
@@ -695,7 +694,6 @@ class Service {
 struct SocketServerOptions {
   std::string socket_path;
   ServiceOptions service;
-  bool log = false;
   /// Longest protocol line the daemon will buffer for one connection. A
   /// peer that exceeds it without sending '\n' gets a loud protocol error
   /// and the connection is closed -- a misbehaving client must not be able
@@ -776,10 +774,19 @@ class SocketServer {
 
  private:
   struct Conn {
+    /// -1 once serve() has closed it. Written under conns_mu_ and write_mu,
+    /// so a reader holding either one never sees a stale (reused) number.
     int fd = -1;
     std::mutex write_mu;
     std::mutex tickets_mu;
     std::unordered_map<std::string, std::shared_ptr<Ticket>> tickets;
+    /// serve() has returned: its thread can be joined without blocking.
+    std::atomic<bool> finished{false};
+  };
+
+  struct ConnThread {
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
   };
 
   void finish(bool cancel_queued) {
@@ -797,16 +804,24 @@ class SocketServer {
       listen_fd_ = -1;
       ::unlink(options_.socket_path.c_str());
     }
-    std::vector<std::shared_ptr<Conn>> conns;
-    std::vector<std::thread> threads;
+    std::vector<ConnThread> conns;
     {
       std::lock_guard<std::mutex> g(conns_mu_);
       conns.swap(conns_);
-      threads.swap(conn_threads_);
+      for (const ConnThread& c : conns)
+        if (c.conn->fd >= 0) ::shutdown(c.conn->fd, SHUT_RDWR);  // wakes recv()
     }
-    for (const std::shared_ptr<Conn>& c : conns)
-      ::shutdown(c->fd, SHUT_RDWR);  // wakes blocked recv()s
-    for (std::thread& t : threads) t.join();
+    for (ConnThread& c : conns) c.thread.join();
+  }
+
+  /// Joins the threads of connections whose serve() has returned, so a
+  /// long-lived daemon holds only its live connections. conns_mu_ held.
+  void reap_finished() {
+    std::erase_if(conns_, [](ConnThread& c) {
+      if (!c.conn->finished.load()) return false;
+      c.thread.join();
+      return true;
+    });
   }
 
   void accept_loop() {
@@ -826,8 +841,8 @@ class SocketServer {
       auto conn = std::make_shared<Conn>();
       conn->fd = fd;
       std::lock_guard<std::mutex> g(conns_mu_);
-      conns_.push_back(conn);
-      conn_threads_.emplace_back([this, conn] { serve(conn); });
+      reap_finished();
+      conns_.push_back({conn, std::thread([this, conn] { serve(conn); })});
     }
   }
 
@@ -860,7 +875,7 @@ class SocketServer {
                     "protocol error: line exceeds " +
                         std::to_string(options_.max_line_bytes) +
                         " bytes without a newline; closing connection");
-        if (options_.log)
+        if (options_.service.log)
           std::fprintf(stderr,
                        "femtod: closing connection: %zu buffered bytes "
                        "without a newline (max_line_bytes %zu)\n",
@@ -877,12 +892,21 @@ class SocketServer {
     }
     for (const std::shared_ptr<Ticket>& t : orphans)
       if (!t->terminal()) service_.cancel(t);
-    ::close(conn->fd);
+    // Fail any send still blocked on this socket, then close it once no
+    // writer holds it.
+    ::shutdown(conn->fd, SHUT_RDWR);
+    {
+      std::scoped_lock lock(conns_mu_, conn->write_mu);
+      ::close(conn->fd);
+      conn->fd = -1;
+    }
+    conn->finished.store(true);
   }
 
   void write_line(const std::shared_ptr<Conn>& conn, std::string line) {
     line += '\n';
     std::lock_guard<std::mutex> g(conn->write_mu);
+    if (conn->fd < 0) return;  // serve() already closed it
     std::size_t off = 0;
     while (off < line.size()) {
       const ssize_t n = net::send_retry(conn->fd, line.data() + off,
@@ -1021,8 +1045,7 @@ class SocketServer {
     } else if (op == "trace") {
       if (!service_.tracing_enabled()) {
         write_error(conn, "trace", "",
-                    "tracing disabled: start femtod with --trace-dir (or "
-                    "ServiceOptions.trace)");
+                    "tracing disabled: start femtod with --trace-dir");
         return;
       }
       const std::string trace = service_.last_trace();
@@ -1136,8 +1159,7 @@ class SocketServer {
   std::thread accept_thread_;
   std::atomic<bool> accept_stop_{false};
   std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<ConnThread> conns_;
   std::mutex run_mu_;
   std::condition_variable run_cv_;
   bool shutdown_requested_ = false;

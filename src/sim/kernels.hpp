@@ -26,12 +26,9 @@
 // all levels for every gate kind, and bench_statevector re-checks it in CI
 // (simd_bit_identical == 1).
 //
-// With FEMTO_OPENMP defined (CMake option FEMTO_OPENMP) the outer stride
-// loops run under an OpenMP parallel-for once the state is large enough to
-// amortize the fork. Known limitation: the pragma sits on the outer stride
-// loop, so a gate whose (highest) qubit is near the top of the register has
-// few outer iterations and degrades toward serial; low- and mid-qubit gates
-// parallelize fully.
+// The kernels are serial. Their callers -- the verifier's dense tier (at
+// most 12 qubits by default), VQE energies, the examples and the tests --
+// apply one circuit to one state at a time.
 #pragma once
 
 #include <algorithm>
@@ -48,18 +45,9 @@
 #include <immintrin.h>
 #endif
 
-#if defined(FEMTO_OPENMP)
-#define FEMTO_OMP_FOR _Pragma("omp parallel for schedule(static) if (omp_on)")
-#else
-#define FEMTO_OMP_FOR
-#endif
-
 namespace femto::sim::kernels {
 
 using Complex = std::complex<double>;
-
-/// States below this size are applied serially even when OpenMP is enabled.
-inline constexpr std::size_t kOmpMinDim = std::size_t{1} << 17;
 
 // --- contiguous-run primitives --------------------------------------------
 //
@@ -151,42 +139,6 @@ FEMTO_SIMD_REF inline void rot2_portable(Complex* p, Complex* q, std::size_t cou
 FEMTO_SIMD_REF inline void axpy_portable(Complex* out, const Complex* src, std::size_t count,
                           Complex w) {
   for (std::size_t i = 0; i < count; ++i) out[i] += w * src[i];
-}
-
-// Per-lane variants for the batched API: the coefficient differs per
-// complex element and arrives as lane-DUPLICATED double arrays of length
-// 2*count ([c0, c0, c1, c1, ...]) so vector loads line up with the
-// interleaved amplitudes. The si==0 branch of scale becomes a per-element
-// select so a lane with a purely real factor multiplies exactly like the
-// shared-kernel fast path would.
-
-FEMTO_SIMD_REF inline void scale_lanes_portable(double* d, std::size_t count,
-                                 const double* frd, const double* fid) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const double sr = frd[2 * i], si = fid[2 * i];
-    const double x = d[2 * i], y = d[2 * i + 1];
-    if (si == 0.0) {
-      d[2 * i] = x * sr;
-      d[2 * i + 1] = y * sr;
-    } else {
-      d[2 * i] = x * sr - y * si;
-      d[2 * i + 1] = x * si + y * sr;
-    }
-  }
-}
-
-FEMTO_SIMD_REF inline void rot2_lanes_portable(Complex* p, Complex* q, std::size_t count,
-                                const double* cd, const double* ur,
-                                const double* ui, const double* vr,
-                                const double* vi) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const double c = cd[2 * i];
-    const Complex u{ur[2 * i], ui[2 * i]};
-    const Complex v{vr[2 * i], vi[2 * i]};
-    const Complex pi = p[i], qi = q[i];
-    p[i] = c * pi + u * qi;
-    q[i] = c * qi + v * pi;
-  }
 }
 
 #if FEMTO_SIMD_X86
@@ -350,46 +302,6 @@ __attribute__((target("avx2"))) inline void axpy_avx2(Complex* out,
     _mm256_storeu_pd(po + 2 * i, _mm256_add_pd(vo, cmul_avx2(vs, wr, wi)));
   }
   axpy_portable(out + i, src + i, count - i, w);
-}
-
-__attribute__((target("avx2"))) inline void scale_lanes_avx2(
-    double* d, std::size_t count, const double* frd, const double* fid) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m256d v = _mm256_loadu_pd(d + 2 * i);
-    const __m256d vr = _mm256_loadu_pd(frd + 2 * i);
-    const __m256d vi = _mm256_loadu_pd(fid + 2 * i);
-    const __m256d full = cmul_avx2(v, vr, vi);
-    const __m256d real_only = _mm256_mul_pd(v, vr);
-    // Per-element select reproduces the si==0 fast path of scale().
-    const __m256d is_real = _mm256_cmp_pd(vi, zero, _CMP_EQ_OQ);
-    _mm256_storeu_pd(d + 2 * i, _mm256_blendv_pd(full, real_only, is_real));
-  }
-  scale_lanes_portable(d + 2 * i, count - i, frd + 2 * i, fid + 2 * i);
-}
-
-__attribute__((target("avx2"))) inline void rot2_lanes_avx2(
-    Complex* p, Complex* q, std::size_t count, const double* cd,
-    const double* ur, const double* ui, const double* vr, const double* vi) {
-  double* pp = reinterpret_cast<double*>(p);
-  double* pq = reinterpret_cast<double*>(q);
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m256d vp = _mm256_loadu_pd(pp + 2 * i);
-    const __m256d vq = _mm256_loadu_pd(pq + 2 * i);
-    const __m256d vc = _mm256_loadu_pd(cd + 2 * i);
-    const __m256d vur = _mm256_loadu_pd(ur + 2 * i);
-    const __m256d vui = _mm256_loadu_pd(ui + 2 * i);
-    const __m256d vvr = _mm256_loadu_pd(vr + 2 * i);
-    const __m256d vvi = _mm256_loadu_pd(vi + 2 * i);
-    _mm256_storeu_pd(pp + 2 * i, _mm256_add_pd(_mm256_mul_pd(vc, vp),
-                                               cmul_avx2(vq, vur, vui)));
-    _mm256_storeu_pd(pq + 2 * i, _mm256_add_pd(_mm256_mul_pd(vc, vq),
-                                               cmul_avx2(vp, vvr, vvi)));
-  }
-  rot2_lanes_portable(p + i, q + i, count - i, cd + 2 * i, ur + 2 * i,
-                      ui + 2 * i, vr + 2 * i, vi + 2 * i);
 }
 
 // ---- AVX-512 (4 complex per 512-bit vector) ------------------------------
@@ -566,47 +478,6 @@ FEMTO_TARGET_AVX512 inline void axpy_avx512(Complex* out, const Complex* src,
   axpy_portable(out + i, src + i, count - i, w);
 }
 
-FEMTO_TARGET_AVX512 inline void scale_lanes_avx512(double* d,
-                                                   std::size_t count,
-                                                   const double* frd,
-                                                   const double* fid) {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m512d v = _mm512_loadu_pd(d + 2 * i);
-    const __m512d vr = _mm512_loadu_pd(frd + 2 * i);
-    const __m512d vi = _mm512_loadu_pd(fid + 2 * i);
-    const __m512d full = cmul_avx512(v, vr, vi);
-    const __m512d real_only = _mm512_mul_pd(v, vr);
-    const __mmask8 is_real = _mm512_cmp_pd_mask(vi, zero, _CMP_EQ_OQ);
-    _mm512_storeu_pd(d + 2 * i, _mm512_mask_mov_pd(full, is_real, real_only));
-  }
-  scale_lanes_portable(d + 2 * i, count - i, frd + 2 * i, fid + 2 * i);
-}
-
-FEMTO_TARGET_AVX512 inline void rot2_lanes_avx512(
-    Complex* p, Complex* q, std::size_t count, const double* cd,
-    const double* ur, const double* ui, const double* vr, const double* vi) {
-  double* pp = reinterpret_cast<double*>(p);
-  double* pq = reinterpret_cast<double*>(q);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m512d vp = _mm512_loadu_pd(pp + 2 * i);
-    const __m512d vq = _mm512_loadu_pd(pq + 2 * i);
-    const __m512d vc = _mm512_loadu_pd(cd + 2 * i);
-    const __m512d vur = _mm512_loadu_pd(ur + 2 * i);
-    const __m512d vui = _mm512_loadu_pd(ui + 2 * i);
-    const __m512d vvr = _mm512_loadu_pd(vr + 2 * i);
-    const __m512d vvi = _mm512_loadu_pd(vi + 2 * i);
-    _mm512_storeu_pd(pp + 2 * i, _mm512_add_pd(_mm512_mul_pd(vc, vp),
-                                               cmul_avx512(vq, vur, vui)));
-    _mm512_storeu_pd(pq + 2 * i, _mm512_add_pd(_mm512_mul_pd(vc, vq),
-                                               cmul_avx512(vp, vvr, vvi)));
-  }
-  rot2_lanes_portable(p + i, q + i, count - i, cd + 2 * i, ur + 2 * i,
-                      ui + 2 * i, vr + 2 * i, vi + 2 * i);
-}
-
 #undef FEMTO_TARGET_AVX512
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -760,46 +631,6 @@ inline void axpy(Complex* out, const Complex* src, std::size_t count,
   detail::axpy_portable(out, src, count, w);
 }
 
-/// Per-lane complex scale: element i is multiplied by (frd[2i] + i*fid[2i]).
-/// Coefficient arrays are lane-duplicated ([c0, c0, c1, c1, ...]).
-inline void scale_lanes(double* d, std::size_t count, const double* frd,
-                        const double* fid) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      detail::scale_lanes_avx512(d, count, frd, fid);
-      return;
-    case simd::Level::kAvx2:
-      detail::scale_lanes_avx2(d, count, frd, fid);
-      return;
-    default:
-      break;
-  }
-#endif
-  detail::scale_lanes_portable(d, count, frd, fid);
-}
-
-/// Per-lane two-plane rotation (lane-duplicated coefficient arrays, as in
-/// scale_lanes): p[i] <- cd[i]*p[i] + u[i]*q[i], q[i] <- cd[i]*q[i] +
-/// v[i]*p_old[i].
-inline void rot2_lanes(Complex* p, Complex* q, std::size_t count,
-                       const double* cd, const double* ur, const double* ui,
-                       const double* vr, const double* vi) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      detail::rot2_lanes_avx512(p, q, count, cd, ur, ui, vr, vi);
-      return;
-    case simd::Level::kAvx2:
-      detail::rot2_lanes_avx2(p, q, count, cd, ur, ui, vr, vi);
-      return;
-    default:
-      break;
-  }
-#endif
-  detail::rot2_lanes_portable(p, q, count, cd, ur, ui, vr, vi);
-}
-
 }  // namespace runs
 
 // --- single-qubit kernels -------------------------------------------------
@@ -813,8 +644,6 @@ inline void apply_diag1(Complex* a, std::size_t dim, std::size_t q, Complex d0,
   const double r1 = d1.real(), i1 = d1.imag();
   const bool unit0 = r0 == 1.0 && i0 == 0.0;
   double* d = reinterpret_cast<double*>(a);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * bit) {
     if (!unit0) runs::scale(d + 2 * g, bit, r0, i0);
     runs::scale(d + 2 * (g + bit), bit, r1, i1);
@@ -827,8 +656,6 @@ inline void apply_real1(Complex* a, std::size_t dim, std::size_t q, double r00,
                         double r01, double r10, double r11) {
   const std::size_t bit = std::size_t{1} << q;
   double* d = reinterpret_cast<double*>(a);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * bit)
     runs::real2x2(d + 2 * g, d + 2 * (g + bit), 2 * bit, r00, r01, r10, r11);
 }
@@ -843,16 +670,13 @@ inline void apply_matrix1(Complex* a, std::size_t dim, std::size_t q,
     return;
   }
   const std::size_t bit = std::size_t{1} << q;
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
   if (m00 == zero && m11 == zero) {
     // Anti-diagonal (X, Y): a scaled swap of the two half-blocks.
     if (m01 == Complex{1.0, 0.0} && m10 == Complex{1.0, 0.0}) {
-      FEMTO_OMP_FOR
       for (std::size_t g = 0; g < dim; g += 2 * bit)
         runs::swap(a + g, a + g + bit, bit);
       return;
     }
-    FEMTO_OMP_FOR
     for (std::size_t g = 0; g < dim; g += 2 * bit)
       runs::cross_mul(a + g, a + g + bit, bit, m01, m10);
     return;
@@ -862,7 +686,6 @@ inline void apply_matrix1(Complex* a, std::size_t dim, std::size_t q,
     apply_real1(a, dim, q, m00.real(), m01.real(), m10.real(), m11.real());
     return;
   }
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * bit)
     runs::cmul2x2(a + g, a + g + bit, bit, m00, m01, m10, m11);
 }
@@ -879,8 +702,6 @@ inline void apply_cnot(Complex* a, std::size_t dim, std::size_t c,
   const std::size_t cb = std::size_t{1} << c;
   const std::size_t tb = std::size_t{1} << t;
   const std::size_t hb = std::max(cb, tb), lb = std::min(cb, tb);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::swap(a + (h | cb), a + (h | cb | tb), lb);
@@ -891,8 +712,6 @@ inline void apply_cz(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t ab = std::size_t{1} << qa;
   const std::size_t bb = std::size_t{1} << qb;
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::negate(reinterpret_cast<double*>(a + (h | ab | bb)), 2 * lb);
@@ -903,8 +722,6 @@ inline void apply_swap(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t ab = std::size_t{1} << qa;
   const std::size_t bb = std::size_t{1} << qb;
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::swap(a + (h | ab), a + (h | bb), lb);
@@ -919,8 +736,6 @@ inline void apply_xxrot(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
   const double c = std::cos(angle / 2), s = std::sin(angle / 2);
   const Complex mis{0.0, -s};
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb) {
       runs::rot2(a + h, a + (h | ab | bb), lb, c, mis, mis);
@@ -936,8 +751,6 @@ inline void apply_xyrot(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
   const double c = std::cos(angle), s = std::sin(angle);
   const Complex mis{0.0, -s};
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::rot2(a + (h | ab), a + (h | bb), lb, c, mis, mis);
@@ -980,14 +793,12 @@ namespace detail {
 /// provably constant over the run).
 inline void apply_pauli_exp(Complex* a, std::size_t dim, const PauliMasks& m,
                             double c, double s) {
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
   double* d = reinterpret_cast<double*>(a);
   if (m.x == 0) {
     // No Y sites either, so phase(i) = +-1 and the factor is e^{-+ i half}.
     const Complex even{c, -s}, odd{c, s};
     const std::uint64_t z = m.z;
     const std::size_t run = detail::phase_run(z, dim);
-    FEMTO_OMP_FOR
     for (std::size_t g = 0; g < dim; g += run) {
       const Complex f = (std::popcount(g & z) & 1) ? odd : even;
       runs::scale(d + 2 * g, run, f.real(), f.imag());
@@ -1003,7 +814,6 @@ inline void apply_pauli_exp(Complex* a, std::size_t dim, const PauliMasks& m,
   std::size_t sub = std::size_t{1} << std::countr_zero(flip);
   sub = std::min(sub, detail::phase_run(m.z, pb));
   sub = std::min(sub, pb);
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * pb) {
     for (std::size_t i = g; i < g + pb; i += sub) {
       const std::size_t j = i ^ flip;  // pivot set => j > i, visited once
@@ -1025,8 +835,6 @@ inline void accumulate_pauli(const Complex* a, std::size_t dim,
   std::size_t sub = detail::phase_run(m.z, dim);
   if (flip != 0)
     sub = std::min(sub, std::size_t{1} << std::countr_zero(flip));
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t j = 0; j < dim; j += sub) {
     const std::size_t i = j ^ flip;
     runs::axpy(out + j, a + i, sub, coeff * m.phase(i));

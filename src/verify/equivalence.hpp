@@ -24,14 +24,12 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/batched.hpp"
 #include "sim/stabilizer.hpp"
 #include "sim/statevector.hpp"
 #include "verify/pauli_propagation.hpp"
@@ -155,10 +153,6 @@ class EquivalenceChecker {
         sv.apply_circuit(a, params);
       }, [&](sim::StateVector& sv, std::span<const double> params) {
         sv.apply_circuit(b, params);
-      }, [&](sim::BatchedState& bs) {
-        bs.apply_circuit(a);
-      }, [&](sim::BatchedState& bs) {
-        bs.apply_circuit(b);
       }, std::max(a.num_params(), b.num_params()), a.num_qubits());
     return report;
   }
@@ -184,10 +178,6 @@ class EquivalenceChecker {
       sv.apply_circuit(circuit, params);
     }, [&](sim::StateVector& sv, std::span<const double> params) {
       apply_spec(sv, spec, params);
-    }, [&](sim::BatchedState& bs) {
-      bs.apply_circuit(circuit);
-    }, [&](sim::BatchedState& bs) {
-      apply_spec_batched(bs, spec);
     }, num_params, n);
   }
 
@@ -288,20 +278,6 @@ class EquivalenceChecker {
     }
   }
 
-  /// Literal-angle spec application across all trial lanes at once (only
-  /// reached from the batched arbitration path, where num_params == 0).
-  static void apply_spec_batched(sim::BatchedState& bs,
-                                 const CompilationSpec& spec) {
-    for (const SpecOp& op : spec) {
-      if (op.kind == SpecOp::Kind::kGate) {
-        bs.apply_gate(op.gate);
-        continue;
-      }
-      FEMTO_EXPECTS(op.block.param < 0);
-      bs.apply_pauli_exp(op.block.string, op.block.angle_coeff);
-    }
-  }
-
   /// Tier 3: random states and random parameter draws decide a tier-2
   /// mismatch. Both sides see identical draws; states are compared entry by
   /// entry after global-phase alignment (LINEAR sensitivity in any angle
@@ -309,56 +285,11 @@ class EquivalenceChecker {
   /// quadratically and wave small corruptions through). A counterexample is
   /// decisive (proven); agreement is probabilistic, so acceptance stays
   /// proven == false.
-  template <typename ApplyA, typename ApplyB, typename BatchApplyA,
-            typename BatchApplyB>
+  template <typename ApplyA, typename ApplyB>
   [[nodiscard]] EquivalenceReport arbitrate_dense(
       const EquivalenceReport& symbolic, ApplyA&& apply_a, ApplyB&& apply_b,
-      BatchApplyA&& batch_apply_a, BatchApplyB&& batch_apply_b, int num_params,
-      std::size_t n) const {
+      int num_params, std::size_t n) const {
     Rng rng(options_.seed);
-    // Batching pads the trial count to a power of two and holds two padded
-    // copies at once, so it only runs when that stays cheap: the padded
-    // buffer must be representable at all (BatchedState::fits -- near the
-    // n = 28 dense ceiling it is not) and no bigger than 2^24 amplitudes
-    // (256 MiB per copy). Otherwise the per-trial loop below decides the
-    // same verdict with the pre-batched memory profile of 2 * 2^n.
-    const std::size_t trials =
-        static_cast<std::size_t>(std::max(0, options_.dense_trials));
-    const bool batchable =
-        trials > 0 && sim::BatchedState::fits(n, trials) &&
-        (std::bit_ceil(trials) << n) <= (std::size_t{1} << 24);
-    if (num_params <= 0 && options_.dense_trials > 0 && batchable) {
-      // Literal-angle case: every trial shares the (empty) parameter draw,
-      // so all trial states advance together through one batched circuit
-      // application (sim::BatchedState). The draws, per-trial amplitudes and
-      // verdicts are identical to the per-trial loop below: the parameter
-      // loop there draws nothing when num_params == 0, and the batched
-      // kernels are bit-identical to the per-state ones.
-      std::vector<sim::StateVector> states;
-      states.reserve(trials);
-      for (int trial = 0; trial < options_.dense_trials; ++trial) {
-        sim::StateVector sv(n);
-        for (auto& amp : sv.amplitudes())
-          amp = sim::Complex{rng.normal(), rng.normal()};
-        sv.normalize();
-        states.push_back(std::move(sv));
-      }
-      sim::BatchedState ba = sim::BatchedState::from_states(states);
-      // The staging states are no longer needed: release them before the
-      // second padded copy so peak memory is staging + one copy, not
-      // staging + two.
-      states = {};
-      sim::BatchedState bb = ba;
-      batch_apply_a(ba);
-      batch_apply_b(bb);
-      for (int trial = 0; trial < options_.dense_trials; ++trial) {
-        const std::size_t t = static_cast<std::size_t>(trial);
-        const double diff = phase_aligned_distance(ba.lane(t), bb.lane(t));
-        if (diff > std::sqrt(options_.tol))
-          return dense_counterexample(symbolic, diff);
-      }
-      return dense_agreement();
-    }
     for (int trial = 0; trial < options_.dense_trials; ++trial) {
       std::vector<double> params(static_cast<std::size_t>(
           std::max(0, num_params)));

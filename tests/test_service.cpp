@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <random>
 #include <string>
 #include <thread>
@@ -791,6 +792,50 @@ TEST(ServiceSocket, OversizedLineIsRejectedLoudlyAndConnectionCloses) {
   ASSERT_TRUE(healthy.has_value());
   service::CompileClient client(std::move(*healthy));
   EXPECT_TRUE(client.ping());
+}
+
+/// This process's VmSize in KiB, read from /proc/self/status; 0 if absent.
+std::size_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  return 0;
+}
+
+TEST(ServiceSocket, FinishedConnectionsAreReaped) {
+  // Every connection is served on its own thread. A server that joins them
+  // only at shutdown keeps each finished thread's stack mapped (~8 MiB of
+  // address space apiece), so a long-lived daemon grows with every client
+  // it has ever seen. 200 sequential connect/ping/close cycles stay far
+  // below that.
+  const std::string socket_path =
+      "/tmp/femtod-reap-" + std::to_string(::getpid()) + ".sock";
+  service::SocketServer server(
+      {.socket_path = socket_path, .service = small_service()});
+  ASSERT_EQ(server.start(), "");
+  std::thread runner([&] { server.run(); });
+  struct Joiner {
+    service::SocketServer& server;
+    std::thread& thread;
+    ~Joiner() {
+      server.request_shutdown(false);
+      if (thread.joinable()) thread.join();
+    }
+  } joiner{server, runner};
+
+  const std::size_t before = vm_size_kib();
+  ASSERT_GT(before, 0u) << "no VmSize in /proc/self/status";
+  for (int i = 0; i < 200; ++i) {
+    auto conn = service::wait_for_server(socket_path, 2000);
+    ASSERT_TRUE(conn.has_value()) << "cycle " << i;
+    service::CompileClient client(std::move(*conn));
+    ASSERT_TRUE(client.ping()) << "cycle " << i;
+  }
+  const std::size_t after = vm_size_kib();
+  const std::size_t growth = after > before ? after - before : 0;
+  EXPECT_LT(growth, std::size_t{256} * 1024)
+      << "VmSize grew " << growth / 1024 << " MiB over 200 connections";
 }
 
 TEST(ServiceSocket, RetryingClientSurvivesInjectedConnectionDrops) {

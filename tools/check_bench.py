@@ -129,11 +129,11 @@ ABS_EXACT = {
         "table1/H2O(17)/gt": 167, "table1/H2O(17)/adv": 137,
     },
     # The SIMD layer's bit-identity contract: switching the dispatch level
-    # (portable/AVX2/AVX-512) or batching states through sim::BatchedState
-    # must never change a single amplitude bit (statevector) or any integer
-    # reduction (compile_hot wordops). The bench binaries recompute these
-    # cross-level comparisons on every run; any value but 1.0 means a vector
-    # path's per-element op tree diverged from the portable reference.
+    # (portable/AVX2/AVX-512) must never change a single amplitude bit
+    # (statevector) or any integer reduction (compile_hot wordops). The
+    # bench binaries recompute these cross-level comparisons on every run;
+    # any value but 1.0 means a vector path's per-element op tree diverged
+    # from the portable reference.
     "statevector": {"*/simd_bit_identical": 1.0},
     "compile_hot": {"*/simd_bit_identical": 1.0},
     # The daemon determinism + lifecycle contract, end to end over the wire

@@ -16,6 +16,9 @@
 //   4. Hostile requests: a compile line asking for 1e9 restarts (one job
 //      slot each) and one asking for 1e9 qubits must both be answered
 //      REJECTED, and the daemon must still answer ping afterwards.
+//   5. Bad numeric flags: femtod started with --workers, --max-queue or
+//      --default-deadline set to abc, -1, 4x, inf, nan or -5 must exit 2
+//      before it serves; one still running after 5 s is killed and fails.
 //
 // The ctest runs with no environment; CI's chaos leg additionally exports
 // FEMTO_FAILPOINTS so the daemon boots with faults already armed (the
@@ -105,6 +108,24 @@ std::string raw_compile(service::CompileClient& client,
     if (const auto reply = client.connection().recv_line(5000))
       replies += *reply;
   return replies;
+}
+
+/// The child's exit code once it exits within `timeout`; -1 if it dies on
+/// a signal or is still running at the timeout (it is then SIGKILLed).
+int wait_exit_code(pid_t pid, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    int status = 0;
+    const pid_t r = ::waitpid(pid, &status, WNOHANG);
+    if (r == pid) return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    if (r < 0) return -1;
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
 }
 
 }  // namespace
@@ -258,6 +279,27 @@ int main(int argc, char** argv) {
     }
     clean = service::wait_process(daemon) == 0 && clean;
     check(clean, "respawned daemon drained cleanly");
+  }
+
+  // ---- phase 5: bad numeric flags exit 2 before serving -------------------
+  {
+    const std::string flags_socket = base + "-flags.sock";
+    int accepted = 0;
+    for (const char* flag : {"--workers", "--max-queue", "--default-deadline"})
+      for (const char* value : {"abc", "-1", "4x", "inf", "nan", "-5"}) {
+        const pid_t pid = service::spawn_process(
+            {femtod, "--socket", flags_socket, flag, value});
+        const int code =
+            pid > 0 ? wait_exit_code(pid, std::chrono::seconds(5)) : -1;
+        if (code != 2) {
+          std::printf("chaos: femtod %s %s exited %d, expected 2\n", flag,
+                      value, code);
+          ++accepted;
+        }
+      }
+    ::unlink(flags_socket.c_str());
+    check(accepted == 0,
+          "every bad --workers/--max-queue/--default-deadline value exits 2");
   }
 
   if (g_failures == 0) {

@@ -20,11 +20,13 @@
 // the protocol's shutdown op or on SIGTERM/SIGINT, draining gracefully:
 // in-flight and queued work finishes, then the socket is torn down and a
 // final stats line is printed. Exit 0 on a clean drain, 2 on usage/setup
-// errors.
+// errors. Each numeric flag must be one whole number: --workers a count
+// (0 = one per core), --max-queue a count >= 1, --default-deadline
+// seconds in [0, the longest deadline a request may carry] (0 = none).
+#include <charconv>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -46,6 +48,20 @@ int usage() {
   return 2;
 }
 
+int bad_value(const std::string& flag, const char* v) {
+  std::fprintf(stderr, "femtod: invalid %s value '%s'\n", flag.c_str(), v);
+  return usage();
+}
+
+/// Parses the whole of `s` as a number; rejects empty, partial ("4x") and
+/// out-of-range tokens.
+template <typename T>
+[[nodiscard]] bool parse_whole(const char* s, T& out) {
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, out);
+  return ec == std::errc() && ptr == end && ptr != s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,7 +69,6 @@ int main(int argc, char** argv) {
 
   std::string socket_path;
   service::ServiceOptions service_options;
-  bool log = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -66,28 +81,33 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       const char* v = value();
       if (v == nullptr) return usage();
-      service_options.pipeline.workers =
-          static_cast<std::size_t>(std::atol(v));
+      if (!parse_whole(v, service_options.pipeline.workers))
+        return bad_value(arg, v);
     } else if (arg == "--max-queue") {
       const char* v = value();
       if (v == nullptr) return usage();
-      service_options.max_queue = static_cast<std::size_t>(std::atol(v));
+      if (!parse_whole(v, service_options.max_queue) ||
+          service_options.max_queue == 0)
+        return bad_value(arg, v);
     } else if (arg == "--default-deadline") {
       const char* v = value();
       if (v == nullptr) return usage();
-      service_options.default_deadline_s = std::atof(v);
+      double& d = service_options.default_deadline_s;
+      // The bound validate_request applies to a request's own deadline_s;
+      // the negated test also rejects nan.
+      if (!parse_whole(v, d) || !(d >= 0.0 && d <= core::max_deadline_s()))
+        return bad_value(arg, v);
     } else if (arg == "--trace-dir") {
       const char* v = value();
       if (v == nullptr) return usage();
       service_options.trace_dir = v;
     } else if (arg == "--log") {
-      log = true;
+      service_options.log = true;
     } else {
       return usage();
     }
   }
-  if (socket_path.empty() || service_options.max_queue == 0) return usage();
-  service_options.log = log;
+  if (socket_path.empty()) return usage();
 
   if (!service_options.trace_dir.empty()) {
     // Create the directory up front so the first trace write cannot fail
@@ -108,9 +128,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGPIPE, SIG_IGN);
 
-  service::SocketServer server({.socket_path = socket_path,
-                                .service = service_options,
-                                .log = log});
+  service::SocketServer server(
+      {.socket_path = socket_path, .service = service_options});
   if (const std::string err = server.start(); !err.empty()) {
     std::fprintf(stderr, "femtod: %s\n", err.c_str());
     return 2;
