@@ -92,6 +92,14 @@ struct CompileOptions {
   synth::HardwareTarget target = synth::HardwareTarget::all_to_all_cnot();
 };
 
+/// Largest GA population and generation budget a compile accepts. The GA
+/// allocates population x (clusters + vertices) per solve and runs for up to
+/// population x generations child evaluations, so an absurd wire budget
+/// would exhaust memory or hold a worker long before a deadline check.
+/// Far above every workload in the tree (Table 1 runs 32 x 250).
+inline constexpr int kMaxGtspPopulation = 1 << 10;
+inline constexpr int kMaxGtspGenerations = 1 << 16;
+
 /// Diagnostic for inconsistent option combinations; empty string = valid.
 /// compile_vqe aborts (with the diagnostic on stderr) on invalid options so
 /// a misconfigured batch cannot silently produce wrong per-device costs.
@@ -118,6 +126,14 @@ struct CompileOptions {
       options.gtsp_options.mutation_rate > 1.0)
     return "gtsp_options.mutation_rate must be in [0, 1] (got " +
            std::to_string(options.gtsp_options.mutation_rate) + ")";
+  if (options.gtsp_options.population > kMaxGtspPopulation)
+    return "gtsp_options.population must be <= " +
+           std::to_string(kMaxGtspPopulation) + " (got " +
+           std::to_string(options.gtsp_options.population) + ")";
+  if (options.gtsp_options.generations > kMaxGtspGenerations)
+    return "gtsp_options.generations must be <= " +
+           std::to_string(kMaxGtspGenerations) + " (got " +
+           std::to_string(options.gtsp_options.generations) + ")";
   return "";
 }
 

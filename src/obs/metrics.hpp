@@ -15,7 +15,15 @@
 //                                     injected pipeline.restart fault
 //                                     (bit-identical by purity)
 //              solver.sa_solves / solver.sa_steps
-//              solver.gtsp_solves / solver.gtsp_generations
+//              solver.gtsp_solves
+//              solver.gtsp_generations / solver.gtsp_generations_to_best
+//                                     GA generations actually run (not the
+//                                     budget), and generations bred before
+//                                     the returned order first appeared
+//              solver.gtsp_dp_layers / solver.gtsp_dp_layers_reused
+//                                     cluster-DP layers the GA computed to
+//                                     score members, and layers copied from
+//                                     a parent sharing the order's prefix
 //              solver.gt_real_cost_evals / solver.gt_real_cost_memo_hits
 //                                     GT Gamma-search real-cost objective:
 //                                     uncached evaluations and memo hits

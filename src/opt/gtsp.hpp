@@ -17,6 +17,17 @@
 // inner loop (cluster DP, order crossover, mutation, seeding) working over
 // preallocated flat arrays in a reusable GtspWorkspace; after the first
 // generation no inner iteration allocates or calls through a std::function.
+//
+// Prefix reuse: the workspace keeps every member's forward DP layers (layer
+// k = best path value ending at each vertex of the k-th cluster). A child
+// of order crossover + mutation often repeats a parent outright or starts
+// with a run of its clusters, so it copies the layers of the parent sharing
+// the longer prefix and runs the DP only from the first position where the
+// orders part; a child equal to a parent copies its fitness and runs no DP.
+// The elite carries its layers. The reused layers are the very values the
+// DP would recompute, and the prefix test draws nothing from the RNG, so
+// results stay bit-identical.
+//
 // The GtspInstance (std::function weight) entry points are kept as
 // compatibility adapters that materialize and delegate; they return
 // bit-identical results (same RNG stream, same tie-breaks, same floating
@@ -110,11 +121,14 @@ struct GtspDense {
 /// solve after the first warms no allocator. A default-constructed
 /// workspace is created on the stack when the caller passes none.
 struct GtspWorkspace {
-  std::vector<double> dp, dp_next;       // layered cluster DP values
+  std::vector<double> dp, dp_next;       // cluster_dp's value rows
   std::vector<int> back;                 // flat back-pointers, m x max cluster
   std::vector<std::size_t> pop, next_pop;  // flat populations, P x m
   std::vector<double> fitness, next_fitness;
-  std::vector<std::size_t> base, best_order;
+  /// Each member's forward DP layers (cluster_dp_layers), P x total
+  /// vertex count, ping-ponged with the population.
+  std::vector<double> layers, next_layers;
+  std::vector<std::size_t> base;
   std::vector<std::uint8_t> taken, used;
 };
 
@@ -162,43 +176,52 @@ namespace detail {
   return sol;
 }
 
-/// Value of the exact cluster DP for a fixed order, without back-pointer
-/// bookkeeping: what the GA evaluates every offspring with. Identical
-/// floating-point sums and comparisons to the full DP, so the value is
-/// bit-equal to cluster_dp(...).value.
-[[nodiscard]] inline double cluster_dp_value(const GtspDense& inst,
-                                             const std::size_t* order,
-                                             std::size_t m,
-                                             GtspWorkspace& ws) {
-  if (m == 0) return 0.0;
-  std::size_t cur_size = inst.clusters[order[0]].size();
-  ws.dp.resize(std::max(ws.dp.size(), cur_size));
-  std::fill(ws.dp.begin(), ws.dp.begin() + static_cast<std::ptrdiff_t>(cur_size),
-            0.0);
-  for (std::size_t k = 1; k < m; ++k) {
+/// Forward layers of the exact cluster DP for `order`, computed from
+/// position `from` on: what the GA scores every member with. Layer k holds,
+/// per vertex of cluster order[k], the best path value ending there, and
+/// starts at the summed size of the clusters before position k -- so orders
+/// sharing a prefix keep those layers at the same offsets with the same
+/// contents. Layers [0, from) must already hold this order's prefix (copied
+/// from a member that shares it) and `offset` is where layer `from` starts.
+/// Every layer is the same additions and `>` comparisons in the same order
+/// as cluster_dp, so the returned value is bit-equal to cluster_dp(...).value.
+[[nodiscard]] inline double cluster_dp_layers(const GtspDense& inst,
+                                              const std::size_t* order,
+                                              std::size_t m, std::size_t from,
+                                              std::size_t offset,
+                                              double* layers) {
+  if (from == 0) {
+    const std::size_t first = inst.clusters[order[0]].size();
+    std::fill(layers, layers + first, 0.0);
+    offset = first;
+    from = 1;
+  }
+  const double* row_base = inst.weights.data();
+  for (std::size_t k = from; k < m; ++k) {
     const auto& prev = inst.clusters[order[k - 1]];
     const auto& cur = inst.clusters[order[k]];
-    ws.dp_next.resize(std::max(ws.dp_next.size(), cur.size()));
-    const double* row_base = inst.weights.data();
+    const double* in = layers + offset - prev.size();
+    double* out = layers + offset;
     for (std::size_t j = 0; j < cur.size(); ++j) {
       double best = -std::numeric_limits<double>::infinity();
       const std::size_t col = static_cast<std::size_t>(cur[j]);
       for (std::size_t i = 0; i < prev.size(); ++i) {
         const double v =
-            ws.dp[i] +
+            in[i] +
             row_base[static_cast<std::size_t>(prev[i]) * inst.num_vertices +
                      col];
         if (v > best) best = v;
       }
-      ws.dp_next[j] = best;
+      out[j] = best;
     }
-    cur_size = cur.size();
-    std::swap(ws.dp, ws.dp_next);
+    offset += cur.size();
   }
+  const std::size_t last_size = inst.clusters[order[m - 1]].size();
+  const double* last = layers + offset - last_size;
   std::size_t best = 0;
-  for (std::size_t j = 1; j < cur_size; ++j)
-    if (ws.dp[j] > ws.dp[best]) best = j;
-  return ws.dp[best];
+  for (std::size_t j = 1; j < last_size; ++j)
+    if (last[j] > last[best]) best = j;
+  return last[best];
 }
 
 /// Full dense cluster DP with backtracking (run once per returned solution).
@@ -494,19 +517,23 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   GtspSolution best;
   if (m == 0) return best;
   // Coarse solver observability: ONE span per GA solve (never per
-  // generation), so tracing stays cheap even when sorting calls this per
-  // segment.
+  // generation), and counters tallied locally and added once per solve, so
+  // tracing stays cheap even when sorting calls this per segment.
   obs::Span span("gtsp_ga", "solver");
   span.arg("clusters", m);
   span.arg("generations", options.generations);
   span.arg("population", options.population);
   static obs::Counter& solves =
       obs::registry().counter("solver.gtsp_solves");
-  static obs::Counter& generations =
+  static obs::Counter& generations_run =
       obs::registry().counter("solver.gtsp_generations");
+  static obs::Counter& generations_to_best =
+      obs::registry().counter("solver.gtsp_generations_to_best");
+  static obs::Counter& dp_layers =
+      obs::registry().counter("solver.gtsp_dp_layers");
+  static obs::Counter& dp_layers_reused =
+      obs::registry().counter("solver.gtsp_dp_layers_reused");
   solves.inc();
-  generations.inc(static_cast<std::uint64_t>(
-      options.generations > 0 ? options.generations : 0));
   for (const auto& c : inst.clusters) FEMTO_EXPECTS(!c.empty());
   GtspWorkspace local;
   GtspWorkspace& ws = workspace != nullptr ? *workspace : local;
@@ -517,14 +544,19 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
 
   const std::size_t pop_size =
       static_cast<std::size_t>(std::max(4, options.population));
+  // One layer-table row holds every cluster's vertices once: the layers of
+  // any permutation fill it exactly.
+  std::size_t row = 0;
+  for (const auto& c : inst.clusters) row += c.size();
   ws.pop.resize(pop_size * m);
   ws.next_pop.resize(pop_size * m);
   ws.fitness.resize(pop_size);
   ws.next_fitness.resize(pop_size);
+  ws.layers.resize(pop_size * row);
+  ws.next_layers.resize(pop_size * row);
   ws.used.resize(m);
   ws.taken.resize(m);
   ws.base.resize(m);
-  ws.best_order.assign(m, 0);
 
   // Seed population: greedy tours from a few anchors + random permutations.
   std::size_t filled = 0;
@@ -539,7 +571,39 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   }
 
   for (std::size_t i = 0; i < pop_size; ++i)
-    ws.fitness[i] = detail::cluster_dp_value(inst, ws.pop.data() + i * m, m, ws);
+    ws.fitness[i] = detail::cluster_dp_layers(
+        inst, ws.pop.data() + i * m, m, 0, 0, ws.layers.data() + i * row);
+  std::uint64_t layers_run = pop_size * m, layers_reused = 0;
+
+  // Scores the child in `slot` of the next population from the parent
+  // (pa on a tie) sharing the longer prefix with it: that parent's layers
+  // are copied up to where the orders part, and the DP runs only past it.
+  // A child equal to a parent takes the parent's fitness and runs no DP.
+  const auto score_child = [&](std::size_t slot, std::size_t pa,
+                               std::size_t pb) {
+    const std::size_t* child = ws.next_pop.data() + slot * m;
+    const auto shared_prefix = [&](std::size_t parent) {
+      const std::size_t* order = ws.pop.data() + parent * m;
+      return static_cast<std::size_t>(
+          std::mismatch(child, child + m, order).first - child);
+    };
+    std::size_t parent = pa, from = shared_prefix(pa);
+    if (const std::size_t from_b = shared_prefix(pb); from_b > from) {
+      parent = pb;
+      from = from_b;
+    }
+    std::size_t offset = 0;
+    for (std::size_t k = 0; k < from; ++k)
+      offset += inst.clusters[child[k]].size();
+    const double* src = ws.layers.data() + parent * row;
+    double* dst = ws.next_layers.data() + slot * row;
+    std::copy(src, src + offset, dst);
+    layers_reused += from;
+    layers_run += m - from;
+    return from == m
+               ? ws.fitness[parent]
+               : detail::cluster_dp_layers(inst, child, m, from, offset, dst);
+  };
 
   const auto tournament_pick = [&]() -> std::size_t {
     std::size_t winner = rng.index(pop_size);
@@ -551,43 +615,55 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   };
 
   double best_fit = -std::numeric_limits<double>::infinity();
-  int stagnant = 0;
-  for (int gen = 0;
-       gen < options.generations && stagnant < options.stagnation_limit;
+  std::size_t elite = 0;  // the row of `pop` holding the best order so far
+  int stagnant = 0, gen = 0, gen_of_best = 0;
+  for (; gen < options.generations && stagnant < options.stagnation_limit;
        ++gen) {
     // Track the elite.
     for (std::size_t i = 0; i < pop_size; ++i) {
       if (ws.fitness[i] > best_fit) {
         best_fit = ws.fitness[i];
-        std::copy(ws.pop.data() + i * m, ws.pop.data() + (i + 1) * m,
-                  ws.best_order.begin());
+        elite = i;
+        gen_of_best = gen;
         stagnant = -1;
       }
     }
     ++stagnant;
     // Next generation: elitism + offspring, written straight into the
-    // ping-pong buffer (no per-generation allocation).
-    std::copy(ws.best_order.begin(), ws.best_order.end(), ws.next_pop.data());
+    // ping-pong buffers (no per-generation allocation). The elite carries
+    // its layers.
+    std::copy(ws.pop.data() + elite * m, ws.pop.data() + (elite + 1) * m,
+              ws.next_pop.data());
+    std::copy(ws.layers.data() + elite * row,
+              ws.layers.data() + (elite + 1) * row, ws.next_layers.data());
     ws.next_fitness[0] = best_fit;
     for (std::size_t slot = 1; slot < pop_size; ++slot) {
-      const std::size_t* pa = ws.pop.data() + tournament_pick() * m;
-      const std::size_t* pb = ws.pop.data() + tournament_pick() * m;
+      const std::size_t pa = tournament_pick();
+      const std::size_t pb = tournament_pick();
       std::size_t* child = ws.next_pop.data() + slot * m;
-      detail::order_crossover_into(pa, pb, m, child, ws.taken.data(), rng);
+      detail::order_crossover_into(ws.pop.data() + pa * m,
+                                   ws.pop.data() + pb * m, m, child,
+                                   ws.taken.data(), rng);
       if (rng.uniform() < options.mutation_rate)
         detail::mutate_span(child, m, rng);
-      ws.next_fitness[slot] = detail::cluster_dp_value(inst, child, m, ws);
+      ws.next_fitness[slot] = score_child(slot, pa, pb);
     }
     std::swap(ws.pop, ws.next_pop);
     std::swap(ws.fitness, ws.next_fitness);
+    std::swap(ws.layers, ws.next_layers);
+    elite = 0;
   }
   for (std::size_t i = 0; i < pop_size; ++i)
     if (ws.fitness[i] > best_fit) {
       best_fit = ws.fitness[i];
-      std::copy(ws.pop.data() + i * m, ws.pop.data() + (i + 1) * m,
-                ws.best_order.begin());
+      elite = i;
+      gen_of_best = gen;
     }
-  return detail::cluster_dp(inst, ws.best_order.data(), m, ws);
+  generations_run.inc(static_cast<std::uint64_t>(gen));
+  generations_to_best.inc(static_cast<std::uint64_t>(gen_of_best));
+  dp_layers.inc(layers_run);
+  dp_layers_reused.inc(layers_reused);
+  return detail::cluster_dp(inst, ws.pop.data() + elite * m, m, ws);
 }
 
 /// Compatibility adapter: materializes the weight function once, then runs

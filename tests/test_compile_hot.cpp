@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -287,6 +288,49 @@ opt::GtspInstance random_gtsp(std::size_t clusters, std::size_t max_size,
   return inst;
 }
 
+/// Random GTSP instance in the regime the GA's prefix reuse lives in: small
+/// integer weights (ties and duplicate children are common), clusters of 1
+/// to `max_size` vertices, and vertex ids shuffled over twice the vertex
+/// count, so clusters are neither contiguous nor gap-free.
+opt::GtspInstance integer_gtsp(std::size_t clusters, std::size_t max_size,
+                               Rng& rng, std::vector<double>& table) {
+  std::vector<std::size_t> sizes(clusters);
+  std::size_t total = 0;
+  for (std::size_t& size : sizes) total += size = 1 + rng.index(max_size);
+  std::vector<int> ids(2 * total);
+  std::iota(ids.begin(), ids.end(), 0);
+  rng.shuffle(ids);
+  opt::GtspInstance inst;
+  auto next = ids.begin();
+  for (std::size_t size : sizes) {
+    inst.clusters.emplace_back(next, next + static_cast<std::ptrdiff_t>(size));
+    next += static_cast<std::ptrdiff_t>(size);
+  }
+  const std::size_t stride = ids.size();
+  table.resize(stride * stride);
+  for (double& v : table) v = static_cast<double>(rng.index(9)) - 2.0;
+  inst.weight = [&table, stride](int a, int b) {
+    return table[static_cast<std::size_t>(a) * stride +
+                 static_cast<std::size_t>(b)];
+  };
+  return inst;
+}
+
+/// Solves with the dense GA and the lazy reference on the same seed and
+/// expects identical solutions and the same next RNG draw.
+void expect_ga_matches_reference(const opt::GtspInstance& inst,
+                                 const opt::GtspOptions& options,
+                                 std::uint64_t seed, const std::string& what) {
+  Rng ref_rng(seed), dense_rng(seed);
+  const opt::GtspSolution reference =
+      opt::detail::solve_gtsp_ga_reference(inst, ref_rng, options);
+  const opt::GtspSolution dense = opt::solve_gtsp_ga(inst, dense_rng, options);
+  EXPECT_EQ(dense.cluster_order, reference.cluster_order) << what;
+  EXPECT_EQ(dense.vertex_choice, reference.vertex_choice) << what;
+  EXPECT_EQ(dense.value, reference.value) << what;
+  EXPECT_EQ(ref_rng.index(1u << 30), dense_rng.index(1u << 30)) << what;
+}
+
 TEST(DenseGtsp, GaBitIdenticalToLazyReference) {
   Rng build_rng(107);
   for (int rep = 0; rep < 12; ++rep) {
@@ -298,16 +342,81 @@ TEST(DenseGtsp, GaBitIdenticalToLazyReference) {
                                    .tournament = 3,
                                    .mutation_rate = 0.4,
                                    .stagnation_limit = 25};
-    Rng ref_rng(700 + rep), dense_rng(700 + rep);
-    const opt::GtspSolution reference =
-        opt::detail::solve_gtsp_ga_reference(inst, ref_rng, options);
-    const opt::GtspSolution dense =
-        opt::solve_gtsp_ga(inst, dense_rng, options);
-    EXPECT_EQ(dense.cluster_order, reference.cluster_order) << rep;
-    EXPECT_EQ(dense.vertex_choice, reference.vertex_choice) << rep;
-    EXPECT_EQ(dense.value, reference.value) << rep;
-    EXPECT_EQ(ref_rng.index(1u << 30), dense_rng.index(1u << 30)) << rep;
+    expect_ga_matches_reference(inst, options, 700 + rep,
+                                "rep " + std::to_string(rep));
   }
+}
+
+// Table-1 budgets run long enough to converge: most children then repeat a
+// parent or share a long prefix with one, which is the path that reuses DP
+// layers instead of recomputing them.
+constexpr opt::GtspOptions kTableOneGtsp{.population = 32,
+                                         .generations = 250,
+                                         .tournament = 3,
+                                         .mutation_rate = 0.35,
+                                         .stagnation_limit = 60};
+
+TEST(DenseGtsp, ConvergingIntegerInstancesMatchReference) {
+  Rng build_rng(109);
+  for (int rep = 0; rep < 16; ++rep) {
+    std::vector<double> table;
+    const auto inst =
+        integer_gtsp(2 + build_rng.index(39), 8, build_rng, table);
+    expect_ga_matches_reference(inst, kTableOneGtsp, 900 + rep,
+                                "rep " + std::to_string(rep));
+  }
+}
+
+TEST(DenseGtsp, MutationExtremesAndMinimalPopulationMatchReference) {
+  Rng build_rng(110);
+  for (int rep = 0; rep < 6; ++rep) {
+    std::vector<double> table;
+    const auto inst =
+        integer_gtsp(2 + build_rng.index(39), 8, build_rng, table);
+    for (const double rate : {0.0, 0.35, 1.0}) {
+      opt::GtspOptions options = kTableOneGtsp;
+      options.mutation_rate = rate;
+      expect_ga_matches_reference(
+          inst, options, 950 + rep,
+          "rep " + std::to_string(rep) + " rate " + std::to_string(rate));
+      options.population = 4;
+      expect_ga_matches_reference(
+          inst, options, 970 + rep,
+          "rep " + std::to_string(rep) + " rate " + std::to_string(rate) +
+              " population 4");
+    }
+  }
+}
+
+TEST(DenseGtsp, CountersReportWorkRunAndLayerReuse) {
+  Rng build_rng(111);
+  std::vector<double> table;
+  const auto inst = integer_gtsp(40, 8, build_rng, table);
+  auto& registry = obs::registry();
+  const auto value = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const std::uint64_t generations = value("solver.gtsp_generations");
+  const std::uint64_t to_best = value("solver.gtsp_generations_to_best");
+  const std::uint64_t layers = value("solver.gtsp_dp_layers");
+  const std::uint64_t reused = value("solver.gtsp_dp_layers_reused");
+  Rng rng(112);
+  (void)opt::solve_gtsp_ga(inst, rng, kTableOneGtsp);
+  const std::uint64_t ran = value("solver.gtsp_generations") - generations;
+  // The stagnation limit ends this converging solve before the budget, and
+  // the counter reports the generations that ran, not the budget.
+  EXPECT_GT(ran, 0u);
+  EXPECT_LT(ran, static_cast<std::uint64_t>(kTableOneGtsp.generations));
+  EXPECT_LE(value("solver.gtsp_generations_to_best") - to_best, ran);
+  // Every scored member accounts for m layers, computed or reused, and the
+  // prefix reuse fires.
+  const std::uint64_t run = value("solver.gtsp_dp_layers") - layers;
+  const std::uint64_t copied = value("solver.gtsp_dp_layers_reused") - reused;
+  EXPECT_GT(copied, 0u);
+  EXPECT_EQ((run + copied) % inst.clusters.size(), 0u);
+  EXPECT_EQ((run + copied) / inst.clusters.size(),
+            static_cast<std::uint64_t>(kTableOneGtsp.population) *
+                (1 + ran) - ran);
 }
 
 TEST(DenseGtsp, RestartsShareOneMatrixAndMatchSerial) {

@@ -437,6 +437,43 @@ TEST(Pipeline, CompileRequestRejectsInvalidInputWithDiagnostic) {
   EXPECT_EQ(at_cap.status, core::RequestStatus::kCancelled) << at_cap.detail;
 }
 
+TEST(Pipeline, ValidateRequestCapsGaBudgets) {
+  // The GA allocates population x (clusters + vertices) and runs up to
+  // population x generations evaluations, so oversized budgets are
+  // rejected by validation alone; these values are never run.
+  core::CompileScenario s;
+  s.name = "h2";
+  s.num_qubits = h2().n;
+  s.terms = h2().terms;
+  s.options = fast_options();
+  const int huge = std::numeric_limits<int>::max();
+  const struct {
+    int population, generations;
+    std::string want;
+  } rows[] = {
+      {huge, 30, "gtsp_options.population must be <= " +
+                     std::to_string(core::kMaxGtspPopulation) + " (got " +
+                     std::to_string(huge) + ")"},
+      {core::kMaxGtspPopulation + 1, 30, "gtsp_options.population"},
+      {12, huge, "gtsp_options.generations must be <= " +
+                     std::to_string(core::kMaxGtspGenerations) + " (got " +
+                     std::to_string(huge) + ")"},
+      {12, core::kMaxGtspGenerations + 1, "gtsp_options.generations"},
+  };
+  for (const auto& row : rows) {
+    core::CompileScenario capped = s;
+    capped.options.gtsp_options.population = row.population;
+    capped.options.gtsp_options.generations = row.generations;
+    const std::string err = core::validate_request({.scenarios = {capped}});
+    EXPECT_NE(err.find("scenario 'h2': " + row.want), std::string::npos)
+        << "missing '" << row.want << "' in: " << err;
+  }
+  core::CompileScenario at_caps = s;
+  at_caps.options.gtsp_options.population = core::kMaxGtspPopulation;
+  at_caps.options.gtsp_options.generations = core::kMaxGtspGenerations;
+  EXPECT_EQ(core::validate_request({.scenarios = {at_caps}}), "");
+}
+
 TEST(Pipeline, CompileRequestHonorsCancelAndDeadline) {
   const Fixture& f = lih();
   core::CompileScenario s;

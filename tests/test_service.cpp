@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -626,6 +627,19 @@ TEST(ServiceSocket, LoopbackCompileMatchesInProcess) {
   ASSERT_TRUE(rejected.has_value()) << err;
   EXPECT_EQ(rejected->state, RequestState::kRejected);
   EXPECT_NE(rejected->response.detail.find("'bad-term': term 3: orbital 9"),
+            std::string::npos)
+      << rejected->response.detail;
+
+  // A GA population the size of the int range would size the solver's
+  // population and layer tables from it.
+  core::CompileRequest huge_ga = tiny_request("huge-ga");
+  huge_ga.scenarios[0].options.gtsp_options.population =
+      std::numeric_limits<int>::max();
+  rejected = client.compile(huge_ga, "t1b", err);
+  ASSERT_TRUE(rejected.has_value()) << err;
+  EXPECT_EQ(rejected->state, RequestState::kRejected);
+  EXPECT_NE(rejected->response.detail.find(
+                "'huge-ga': gtsp_options.population must be <="),
             std::string::npos)
       << rejected->response.detail;
 
