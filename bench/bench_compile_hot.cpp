@@ -34,9 +34,7 @@
 
 #include "bench_fixtures.hpp"
 #include "bench_harness.hpp"
-#include "common/simd.hpp"
 #include "core/compiler.hpp"
-#include "gf2/wordops.hpp"
 #include "oracles/gt_reference.hpp"
 #include "transform/linear_encoding.hpp"
 
@@ -221,70 +219,15 @@ int main() {
   });
   FEMTO_ASSERT(gt_ref_costs == gt_fast_costs);
 
-  // ---- gf2 word-op reductions: forced-portable vs best SIMD level --------
-  // The popcount/parity reductions behind the cost model (support_counts is
-  // THE inner loop of interface_saving). 1024-bit vectors (16 words) -- wide
-  // enough that the word loop dominates, the shape large encodings actually
-  // hit. Same kernels both times; only simd::set_level differs, so the
-  // ratio is machine-portable like the others.
-  const simd::Level simd_best = simd::max_supported();
-  // The word count is deliberately loaded through a volatile: as a
-  // compile-time constant GCC fully peels the kernels' tail loops and trips
-  // -Werror=aggressive-loop-optimizations.
-  volatile std::size_t words_opaque = 16;
-  const std::size_t kWords = words_opaque;
-  constexpr std::size_t kVecs = 256;
-  std::vector<std::uint64_t> pool(kWords * kVecs);
-  {
-    Rng wrng(97);
-    for (auto& w : pool)
-      w = (static_cast<std::uint64_t>(wrng.index(1u << 31)) << 33) ^
-          (static_cast<std::uint64_t>(wrng.index(1u << 31)) << 2) ^
-          wrng.index(4);
-  }
-  const auto vec = [&](std::size_t i) { return pool.data() + kWords * i; };
-  std::uint64_t wordops_sum = 0;
-  const auto wordops_workload = [&] {
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < kVecs; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        const gf2::wordops::SupportCounts sc = gf2::wordops::support_counts(
-            vec(i), vec(j), vec((i + 7) % kVecs), vec((j + 11) % kVecs),
-            kWords);
-        acc += static_cast<std::uint64_t>(sc.common) * 3 +
-               static_cast<std::uint64_t>(sc.equal) + (sc.has_xy ? 1 : 0);
-        acc += gf2::wordops::and_popcount(vec(i), vec(j), kWords);
-        acc += gf2::wordops::and_parity(vec(j), vec((i + 7) % kVecs), kWords)
-                   ? 2
-                   : 0;
-      }
-    }
-    wordops_sum = acc;
-  };
-  FEMTO_ASSERT(simd::set_level(simd::Level::kPortable) ==
-               simd::Level::kPortable);
-  const double t_words_portable =
-      h.run("compile_hot/wordops_1024b_portable", 5, wordops_workload);
-  const std::uint64_t sum_portable = wordops_sum;
-  FEMTO_ASSERT(simd::set_level(simd_best) == simd_best);
-  const double t_words_best =
-      h.run("compile_hot/wordops_1024b_best", 5, wordops_workload);
-  // Integer reductions: every level must agree EXACTLY, not just closely.
-  const double wordops_identical = wordops_sum == sum_portable ? 1.0 : 0.0;
-
   h.section("compile_hot/speedups");
   h.metric("gamma_eval_speedup", t_full / t_inc);
   h.metric("gtsp_ga_speedup", t_ref / t_dense);
   h.metric("info_fast_term_cost_speedup", t_cost_ref / t_cost_new);
   h.metric("gt_real_cost_speedup", t_gt_ref / t_gt_fast);
-  h.metric("simd_wordops_speedup", t_words_portable / t_words_best);
-  h.metric("simd_bit_identical", wordops_identical);
-  h.metric("info_simd_level", static_cast<double>(simd_best));
   std::printf(
       "[bench] gamma_eval %.1fx, gtsp_ga %.1fx, fast_term_cost %.1fx, "
-      "gt_real_cost %.1fx, wordops simd %.1fx (identical: %.0f)\n",
+      "gt_real_cost %.1fx\n",
       t_full / t_inc, t_ref / t_dense, t_cost_ref / t_cost_new,
-      t_gt_ref / t_gt_fast,
-      t_words_portable / t_words_best, wordops_identical);
+      t_gt_ref / t_gt_fast);
   return h.write_json() ? 0 : 1;
 }

@@ -92,13 +92,23 @@ struct CompileOptions {
   synth::HardwareTarget target = synth::HardwareTarget::all_to_all_cnot();
 };
 
-/// Largest GA population and generation budget a compile accepts. The GA
-/// allocates population x (clusters + vertices) per solve and runs for up to
-/// population x generations child evaluations, so an absurd wire budget
-/// would exhaust memory or hold a worker long before a deadline check.
-/// Far above every workload in the tree (Table 1 runs 32 x 250).
+/// Largest solver budgets a compile accepts. The GA allocates population x
+/// (clusters + vertices) per solve and runs for up to population x
+/// generations child evaluations (each drawing `tournament` parents), PSO
+/// allocates particles x dim, and the deadline is only checked between
+/// restarts, so an absurd wire budget would exhaust memory or hold a worker
+/// long past any deadline. Each cap is far above every workload in the tree
+/// (Table 1 runs GA 32 x 250, SA 1500 steps, PSO 20 x 60, 64 colorings).
 inline constexpr int kMaxGtspPopulation = 1 << 10;
 inline constexpr int kMaxGtspGenerations = 1 << 16;
+inline constexpr int kMaxGtspTournament = 1 << 10;
+inline constexpr int kMaxSaSteps = 1 << 22;
+inline constexpr int kMaxPsoParticles = 1 << 10;
+inline constexpr int kMaxPsoIterations = 1 << 16;
+inline constexpr int kMaxColoringOrders = 1 << 12;
+/// Largest term list one scenario may carry (Table 1's largest row, NH3,
+/// has a few hundred); checked by core::validate_request.
+inline constexpr std::size_t kMaxScenarioTerms = std::size_t{1} << 16;
 
 /// Diagnostic for inconsistent option combinations; empty string = valid.
 /// compile_vqe aborts (with the diagnostic on stderr) on invalid options so
@@ -119,9 +129,31 @@ inline constexpr int kMaxGtspGenerations = 1 << 16;
            " qubits but the compile needs exactly " + std::to_string(n) +
            " (spec verification requires matching widths; slice the device "
            "coupling map to the circuit)";
-  if (options.coloring_orders < 1)
-    return "coloring_orders must be >= 1 (got " +
-           std::to_string(options.coloring_orders) + ")";
+  const auto out_of_range = [](const char* field, int got, int lo, int hi) {
+    return std::string(field) + " must be in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "] (got " + std::to_string(got) + ")";
+  };
+  if (options.coloring_orders < 1 ||
+      options.coloring_orders > kMaxColoringOrders)
+    return out_of_range("coloring_orders", options.coloring_orders, 1,
+                        kMaxColoringOrders);
+  // The annealer's preconditions: a daemon must reject these, not abort.
+  if (options.sa_options.steps < 1 || options.sa_options.steps > kMaxSaSteps)
+    return out_of_range("sa_options.steps", options.sa_options.steps, 1,
+                        kMaxSaSteps);
+  if (!(options.sa_options.t_initial > 0.0) ||
+      !(options.sa_options.t_final > 0.0))
+    return "sa_options.t_initial and t_final must be > 0 (got " +
+           std::to_string(options.sa_options.t_initial) + ", " +
+           std::to_string(options.sa_options.t_final) + ")";
+  if (options.pso_options.particles > kMaxPsoParticles)
+    return "pso_options.particles must be <= " +
+           std::to_string(kMaxPsoParticles) + " (got " +
+           std::to_string(options.pso_options.particles) + ")";
+  if (options.pso_options.iterations > kMaxPsoIterations)
+    return "pso_options.iterations must be <= " +
+           std::to_string(kMaxPsoIterations) + " (got " +
+           std::to_string(options.pso_options.iterations) + ")";
   if (options.gtsp_options.mutation_rate < 0.0 ||
       options.gtsp_options.mutation_rate > 1.0)
     return "gtsp_options.mutation_rate must be in [0, 1] (got " +
@@ -134,6 +166,10 @@ inline constexpr int kMaxGtspGenerations = 1 << 16;
     return "gtsp_options.generations must be <= " +
            std::to_string(kMaxGtspGenerations) + " (got " +
            std::to_string(options.gtsp_options.generations) + ")";
+  if (options.gtsp_options.tournament > kMaxGtspTournament)
+    return "gtsp_options.tournament must be <= " +
+           std::to_string(kMaxGtspTournament) + " (got " +
+           std::to_string(options.gtsp_options.tournament) + ")";
   return "";
 }
 

@@ -247,6 +247,11 @@ inline constexpr std::size_t kMaxRequestQubits = 1024;
              std::to_string(s.num_qubits) + " exceeds the " +
              std::to_string(kMaxRequestQubits) +
              " qubits one scenario may compile";
+    if (s.terms.size() > kMaxScenarioTerms)
+      return "scenario '" + s.name + "': terms has " +
+             std::to_string(s.terms.size()) + " entries, more than the " +
+             std::to_string(kMaxScenarioTerms) +
+             " terms one scenario may compile";
     for (std::size_t k = 0; k < s.terms.size(); ++k)
       if (const std::string err = validate_term(s.num_qubits, s.terms[k]);
           !err.empty())

@@ -614,7 +614,7 @@ namespace detail {
 /// `cost_cache` when one is supplied).
 ///
 /// Hot-path shape: the m x m best-shared-target savings table is built first
-/// (the SIMD-dispatched fused support-count kernel of gf2/wordops.hpp on the
+/// (the fused support-count kernel of gf2/wordops.hpp on the
 /// default model -- see synth::best_shared_target_saving -- scalar
 /// per-target device savings otherwise) and the greedy chain then runs on
 /// table lookups alone; scratch lives in per-thread buffers, so steady-state

@@ -9,7 +9,7 @@
 // checked indices < size(); the word-parallel mutators (^=, |=, &=) combine
 // two vectors of equal size, and 0 op 0 == 0 for all three operators, so the
 // padding stays zero through every mutating op. The reduction kernels
-// (popcount, parity, dot, the SIMD word ops in wordops.hpp, and hash_value)
+// (popcount, parity, dot, the word ops in wordops.hpp, and hash_value)
 // rely on this to read whole words with no tail masking. Property-tested in
 // tests/test_gf2.cpp (TailPaddingInvariant).
 //

@@ -44,7 +44,7 @@ class Matrix {
   [[nodiscard]] const BitVec& row(std::size_t r) const { return rows_[r]; }
 
   /// Row operation row[dst] ^= row[src] (an elementary GL(n,2) generator).
-  /// Word-parallel via BitVec::operator^= (SIMD-dispatched, wordops.hpp) --
+  /// Word-parallel via BitVec::operator^= (wordops.hpp) --
   /// this is the Gamma-move primitive the SA loop issues per candidate.
   void add_row(std::size_t src, std::size_t dst) {
     FEMTO_EXPECTS(src != dst);

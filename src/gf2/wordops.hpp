@@ -1,29 +1,17 @@
-// SIMD word kernels for the GF(2) layer: XOR/OR/AND row ops, popcount,
-// parity, and the fused common-support reduction of the CNOT cost model.
+// Word kernels for the GF(2) layer: XOR/OR/AND row ops, popcount, parity,
+// and the fused common-support reduction of the CNOT cost model.
 //
 // Everything here operates on raw 64-bit word spans (BitVec exposes its
 // storage via word_data()/word_count()). All callers rely on the BitVec
 // tail invariant -- bits >= size() in the final word are always zero -- so
 // reductions read whole words with no tail masking.
 //
-// Three dispatch levels (common/simd.hpp): portable scalar loops are the
-// reference; the AVX2/AVX-512 paths compute the identical per-word
-// arithmetic across wider lanes. Every result is an integer reduction or a
-// pure bitwise map, so all levels are bit-identical by construction; the
-// property tests in tests/test_simd.cpp pin this across awkward widths.
-//
-// Popcounts use the in-register nibble-LUT (Mula's pshufb method) at both
-// vector widths, so AVX-512 needs only F+BW+DQ+VL -- not VPOPCNTDQ -- which
-// keeps the avx512 level usable on every AVX-512 generation we target.
+// Each primitive is one plain loop: every Table-1 and served operand fits
+// in a single word, so wider lanes would have nothing to do.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "common/simd.hpp"
-
-#if FEMTO_SIMD_X86
-#include <immintrin.h>
-#endif
 
 namespace femto::gf2::wordops {
 
@@ -36,68 +24,68 @@ struct SupportCounts {
   bool has_xy = false;
 };
 
-namespace detail {
-
-// ---- portable reference ---------------------------------------------------
-
-inline void xor_inplace_portable(std::uint64_t* dst, const std::uint64_t* src,
-                                 std::size_t nw) {
+inline void xor_inplace(std::uint64_t* dst, const std::uint64_t* src,
+                        std::size_t nw) {
   for (std::size_t w = 0; w < nw; ++w) dst[w] ^= src[w];
 }
 
-inline void or_inplace_portable(std::uint64_t* dst, const std::uint64_t* src,
-                                std::size_t nw) {
+inline void or_inplace(std::uint64_t* dst, const std::uint64_t* src,
+                       std::size_t nw) {
   for (std::size_t w = 0; w < nw; ++w) dst[w] |= src[w];
 }
 
-inline void and_inplace_portable(std::uint64_t* dst, const std::uint64_t* src,
-                                 std::size_t nw) {
+inline void and_inplace(std::uint64_t* dst, const std::uint64_t* src,
+                        std::size_t nw) {
   for (std::size_t w = 0; w < nw; ++w) dst[w] &= src[w];
 }
 
-inline std::size_t popcount_portable(const std::uint64_t* w, std::size_t nw) {
+[[nodiscard]] inline std::size_t popcount(const std::uint64_t* w,
+                                          std::size_t nw) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < nw; ++i)
     count += static_cast<std::size_t>(__builtin_popcountll(w[i]));
   return count;
 }
 
-inline bool parity_portable(const std::uint64_t* w, std::size_t nw) {
+/// XOR-parity of all bits in the span (== popcount(w, nw) & 1).
+[[nodiscard]] inline bool parity(const std::uint64_t* w, std::size_t nw) {
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < nw; ++i) acc ^= w[i];
   return (__builtin_popcountll(acc) & 1) != 0;
 }
 
-inline std::size_t and_popcount_portable(const std::uint64_t* a,
-                                         const std::uint64_t* b,
-                                         std::size_t nw) {
+[[nodiscard]] inline std::size_t and_popcount(const std::uint64_t* a,
+                                              const std::uint64_t* b,
+                                              std::size_t nw) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < nw; ++i)
     count += static_cast<std::size_t>(__builtin_popcountll(a[i] & b[i]));
   return count;
 }
 
-inline std::size_t or_popcount_portable(const std::uint64_t* a,
-                                        const std::uint64_t* b,
-                                        std::size_t nw) {
+/// popcount(a | b): support weight of a symplectic (x, z) pair.
+[[nodiscard]] inline std::size_t or_popcount(const std::uint64_t* a,
+                                             const std::uint64_t* b,
+                                             std::size_t nw) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < nw; ++i)
     count += static_cast<std::size_t>(__builtin_popcountll(a[i] | b[i]));
   return count;
 }
 
-inline bool and_parity_portable(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t nw) {
+/// Parity of the GF(2) inner product <a, b>.
+[[nodiscard]] inline bool and_parity(const std::uint64_t* a,
+                                     const std::uint64_t* b, std::size_t nw) {
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < nw; ++i) acc ^= a[i] & b[i];
   return (__builtin_popcountll(acc) & 1) != 0;
 }
 
-inline SupportCounts support_counts_portable(const std::uint64_t* x1,
-                                             const std::uint64_t* z1,
-                                             const std::uint64_t* x2,
-                                             const std::uint64_t* z2,
-                                             std::size_t nw) {
+[[nodiscard]] inline SupportCounts support_counts(const std::uint64_t* x1,
+                                                  const std::uint64_t* z1,
+                                                  const std::uint64_t* x2,
+                                                  const std::uint64_t* z2,
+                                                  std::size_t nw) {
   SupportCounts out;
   std::uint64_t xy = 0;
   for (std::size_t w = 0; w < nw; ++w) {
@@ -109,553 +97,6 @@ inline SupportCounts support_counts_portable(const std::uint64_t* x1,
   }
   out.has_xy = xy != 0;
   return out;
-}
-
-#if FEMTO_SIMD_X86
-
-// ---- AVX2 (256-bit, 4 words per vector) -----------------------------------
-
-__attribute__((target("avx2"))) inline __m256i popcount_bytes_avx2(__m256i v) {
-  const __m256i lookup =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                      _mm256_shuffle_epi8(lookup, hi));
-  // Four per-64-bit-lane byte sums.
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t hsum_epi64_avx2(
-    __m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i s = _mm_add_epi64(lo, hi);
-  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(s)) +
-         static_cast<std::uint64_t>(
-             _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
-}
-
-__attribute__((target("avx2"))) inline void xor_inplace_avx2(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  std::size_t w = 0;
-  for (; w + 4 <= nw; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_xor_si256(a, b));
-  }
-  for (; w < nw; ++w) dst[w] ^= src[w];
-}
-
-__attribute__((target("avx2"))) inline void or_inplace_avx2(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  std::size_t w = 0;
-  for (; w + 4 <= nw; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(a, b));
-  }
-  for (; w < nw; ++w) dst[w] |= src[w];
-}
-
-__attribute__((target("avx2"))) inline void and_inplace_avx2(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t nw) {
-  std::size_t w = 0;
-  for (; w + 4 <= nw; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_and_si256(a, b));
-  }
-  for (; w < nw; ++w) dst[w] &= src[w];
-}
-
-__attribute__((target("avx2"))) inline std::size_t popcount_avx2(
-    const std::uint64_t* w, std::size_t nw) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    acc = _mm256_add_epi64(acc, popcount_bytes_avx2(v));
-  }
-  std::size_t count = static_cast<std::size_t>(hsum_epi64_avx2(acc));
-  for (; i < nw; ++i)
-    count += static_cast<std::size_t>(__builtin_popcountll(w[i]));
-  return count;
-}
-
-__attribute__((target("avx2"))) inline bool parity_avx2(const std::uint64_t* w,
-                                                        std::size_t nw) {
-  __m256i vacc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    vacc = _mm256_xor_si256(
-        vacc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i)));
-  }
-  const __m128i h = _mm_xor_si128(_mm256_castsi256_si128(vacc),
-                                  _mm256_extracti128_si256(vacc, 1));
-  std::uint64_t acc =
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(h)) ^
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(h, h)));
-  for (; i < nw; ++i) acc ^= w[i];
-  return (__builtin_popcountll(acc) & 1) != 0;
-}
-
-__attribute__((target("avx2"))) inline std::size_t and_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t nw) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, popcount_bytes_avx2(_mm256_and_si256(va, vb)));
-  }
-  std::size_t count = static_cast<std::size_t>(hsum_epi64_avx2(acc));
-  for (; i < nw; ++i)
-    count += static_cast<std::size_t>(__builtin_popcountll(a[i] & b[i]));
-  return count;
-}
-
-__attribute__((target("avx2"))) inline std::size_t or_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t nw) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, popcount_bytes_avx2(_mm256_or_si256(va, vb)));
-  }
-  std::size_t count = static_cast<std::size_t>(hsum_epi64_avx2(acc));
-  for (; i < nw; ++i)
-    count += static_cast<std::size_t>(__builtin_popcountll(a[i] | b[i]));
-  return count;
-}
-
-__attribute__((target("avx2"))) inline bool and_parity_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t nw) {
-  __m256i vacc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    vacc = _mm256_xor_si256(vacc, _mm256_and_si256(va, vb));
-  }
-  const __m128i h = _mm_xor_si128(_mm256_castsi256_si128(vacc),
-                                  _mm256_extracti128_si256(vacc, 1));
-  std::uint64_t acc =
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(h)) ^
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(h, h)));
-  for (; i < nw; ++i) acc ^= a[i] & b[i];
-  return (__builtin_popcountll(acc) & 1) != 0;
-}
-
-__attribute__((target("avx2"))) inline SupportCounts support_counts_avx2(
-    const std::uint64_t* x1, const std::uint64_t* z1, const std::uint64_t* x2,
-    const std::uint64_t* z2, std::size_t nw) {
-  __m256i common_acc = _mm256_setzero_si256();
-  __m256i equal_acc = _mm256_setzero_si256();
-  __m256i xy_acc = _mm256_setzero_si256();
-  std::size_t w = 0;
-  for (; w + 4 <= nw; w += 4) {
-    const __m256i vx1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x1 + w));
-    const __m256i vz1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(z1 + w));
-    const __m256i vx2 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x2 + w));
-    const __m256i vz2 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(z2 + w));
-    const __m256i common = _mm256_and_si256(_mm256_or_si256(vx1, vz1),
-                                            _mm256_or_si256(vx2, vz2));
-    const __m256i xdiff = _mm256_xor_si256(vx1, vx2);
-    const __m256i zdiff = _mm256_xor_si256(vz1, vz2);
-    const __m256i equal = _mm256_andnot_si256(
-        zdiff, _mm256_andnot_si256(xdiff, common));
-    common_acc = _mm256_add_epi64(common_acc, popcount_bytes_avx2(common));
-    equal_acc = _mm256_add_epi64(equal_acc, popcount_bytes_avx2(equal));
-    xy_acc = _mm256_or_si256(
-        xy_acc, _mm256_and_si256(_mm256_and_si256(vx1, vx2), zdiff));
-  }
-  SupportCounts out;
-  out.common = static_cast<int>(hsum_epi64_avx2(common_acc));
-  out.equal = static_cast<int>(hsum_epi64_avx2(equal_acc));
-  const __m128i xh = _mm_or_si128(_mm256_castsi256_si128(xy_acc),
-                                  _mm256_extracti128_si256(xy_acc, 1));
-  std::uint64_t xy =
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(xh)) |
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(xh, xh)));
-  for (; w < nw; ++w) {
-    const std::uint64_t common = (x1[w] | z1[w]) & (x2[w] | z2[w]);
-    out.common += __builtin_popcountll(common);
-    out.equal +=
-        __builtin_popcountll(common & ~(x1[w] ^ x2[w]) & ~(z1[w] ^ z2[w]));
-    xy |= x1[w] & x2[w] & (z1[w] ^ z2[w]);
-  }
-  out.has_xy = xy != 0;
-  return out;
-}
-
-// ---- AVX-512 (512-bit, 8 words per vector) --------------------------------
-
-// GCC 12's avx512fintrin.h trips -Wmaybe-uninitialized on internal __Y
-// temporaries of some intrinsics (GCC PR 105593); the warning points into
-// the system header but fires while compiling these callers, so suppress it
-// for this block only.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-#define FEMTO_TARGET_AVX512 \
-  __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
-
-FEMTO_TARGET_AVX512 inline __m512i popcount_bytes_avx512(__m512i v) {
-  const __m512i lookup = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4));
-  const __m512i low = _mm512_set1_epi8(0x0f);
-  const __m512i lo = _mm512_and_si512(v, low);
-  const __m512i hi = _mm512_and_si512(_mm512_srli_epi32(v, 4), low);
-  const __m512i cnt = _mm512_add_epi8(_mm512_shuffle_epi8(lookup, lo),
-                                      _mm512_shuffle_epi8(lookup, hi));
-  return _mm512_sad_epu8(cnt, _mm512_setzero_si512());
-}
-
-FEMTO_TARGET_AVX512 inline void xor_inplace_avx512(std::uint64_t* dst,
-                                                   const std::uint64_t* src,
-                                                   std::size_t nw) {
-  std::size_t w = 0;
-  for (; w + 8 <= nw; w += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + w);
-    const __m512i b = _mm512_loadu_si512(src + w);
-    _mm512_storeu_si512(dst + w, _mm512_xor_si512(a, b));
-  }
-  for (; w < nw; ++w) dst[w] ^= src[w];
-}
-
-FEMTO_TARGET_AVX512 inline void or_inplace_avx512(std::uint64_t* dst,
-                                                  const std::uint64_t* src,
-                                                  std::size_t nw) {
-  std::size_t w = 0;
-  for (; w + 8 <= nw; w += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + w);
-    const __m512i b = _mm512_loadu_si512(src + w);
-    _mm512_storeu_si512(dst + w, _mm512_or_si512(a, b));
-  }
-  for (; w < nw; ++w) dst[w] |= src[w];
-}
-
-FEMTO_TARGET_AVX512 inline void and_inplace_avx512(std::uint64_t* dst,
-                                                   const std::uint64_t* src,
-                                                   std::size_t nw) {
-  std::size_t w = 0;
-  for (; w + 8 <= nw; w += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + w);
-    const __m512i b = _mm512_loadu_si512(src + w);
-    _mm512_storeu_si512(dst + w, _mm512_and_si512(a, b));
-  }
-  for (; w < nw; ++w) dst[w] &= src[w];
-}
-
-FEMTO_TARGET_AVX512 inline std::size_t popcount_avx512(const std::uint64_t* w,
-                                                       std::size_t nw) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    acc = _mm512_add_epi64(acc,
-                           popcount_bytes_avx512(_mm512_loadu_si512(w + i)));
-  }
-  std::size_t count =
-      static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < nw; ++i)
-    count += static_cast<std::size_t>(__builtin_popcountll(w[i]));
-  return count;
-}
-
-FEMTO_TARGET_AVX512 inline bool parity_avx512(const std::uint64_t* w,
-                                              std::size_t nw) {
-  __m512i vacc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8)
-    vacc = _mm512_xor_si512(vacc, _mm512_loadu_si512(w + i));
-  // XOR-reduce the 8 lanes; lane order is irrelevant to XOR.
-  alignas(64) std::uint64_t lanes[8];
-  _mm512_store_si512(lanes, vacc);
-  std::uint64_t acc = 0;
-  for (std::uint64_t lane : lanes) acc ^= lane;
-  for (; i < nw; ++i) acc ^= w[i];
-  return (__builtin_popcountll(acc) & 1) != 0;
-}
-
-FEMTO_TARGET_AVX512 inline std::size_t and_popcount_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t nw) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i v =
-        _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
-    acc = _mm512_add_epi64(acc, popcount_bytes_avx512(v));
-  }
-  std::size_t count =
-      static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < nw; ++i)
-    count += static_cast<std::size_t>(__builtin_popcountll(a[i] & b[i]));
-  return count;
-}
-
-FEMTO_TARGET_AVX512 inline std::size_t or_popcount_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t nw) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i v =
-        _mm512_or_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
-    acc = _mm512_add_epi64(acc, popcount_bytes_avx512(v));
-  }
-  std::size_t count =
-      static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < nw; ++i)
-    count += static_cast<std::size_t>(__builtin_popcountll(a[i] | b[i]));
-  return count;
-}
-
-FEMTO_TARGET_AVX512 inline bool and_parity_avx512(const std::uint64_t* a,
-                                                  const std::uint64_t* b,
-                                                  std::size_t nw) {
-  __m512i vacc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    vacc = _mm512_xor_si512(vacc, _mm512_and_si512(_mm512_loadu_si512(a + i),
-                                                   _mm512_loadu_si512(b + i)));
-  }
-  alignas(64) std::uint64_t lanes[8];
-  _mm512_store_si512(lanes, vacc);
-  std::uint64_t acc = 0;
-  for (std::uint64_t lane : lanes) acc ^= lane;
-  for (; i < nw; ++i) acc ^= a[i] & b[i];
-  return (__builtin_popcountll(acc) & 1) != 0;
-}
-
-FEMTO_TARGET_AVX512 inline SupportCounts support_counts_avx512(
-    const std::uint64_t* x1, const std::uint64_t* z1, const std::uint64_t* x2,
-    const std::uint64_t* z2, std::size_t nw) {
-  __m512i common_acc = _mm512_setzero_si512();
-  __m512i equal_acc = _mm512_setzero_si512();
-  __m512i xy_acc = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + 8 <= nw; w += 8) {
-    const __m512i vx1 = _mm512_loadu_si512(x1 + w);
-    const __m512i vz1 = _mm512_loadu_si512(z1 + w);
-    const __m512i vx2 = _mm512_loadu_si512(x2 + w);
-    const __m512i vz2 = _mm512_loadu_si512(z2 + w);
-    const __m512i common = _mm512_and_si512(_mm512_or_si512(vx1, vz1),
-                                            _mm512_or_si512(vx2, vz2));
-    const __m512i xdiff = _mm512_xor_si512(vx1, vx2);
-    const __m512i zdiff = _mm512_xor_si512(vz1, vz2);
-    const __m512i equal = _mm512_andnot_si512(
-        zdiff, _mm512_andnot_si512(xdiff, common));
-    common_acc = _mm512_add_epi64(common_acc, popcount_bytes_avx512(common));
-    equal_acc = _mm512_add_epi64(equal_acc, popcount_bytes_avx512(equal));
-    xy_acc = _mm512_or_si512(
-        xy_acc, _mm512_and_si512(_mm512_and_si512(vx1, vx2), zdiff));
-  }
-  SupportCounts out;
-  out.common = static_cast<int>(_mm512_reduce_add_epi64(common_acc));
-  out.equal = static_cast<int>(_mm512_reduce_add_epi64(equal_acc));
-  std::uint64_t xy =
-      _mm512_test_epi64_mask(xy_acc, xy_acc) != 0 ? 1 : 0;
-  for (; w < nw; ++w) {
-    const std::uint64_t common = (x1[w] | z1[w]) & (x2[w] | z2[w]);
-    out.common += __builtin_popcountll(common);
-    out.equal +=
-        __builtin_popcountll(common & ~(x1[w] ^ x2[w]) & ~(z1[w] ^ z2[w]));
-    xy |= x1[w] & x2[w] & (z1[w] ^ z2[w]);
-  }
-  out.has_xy = xy != 0;
-  return out;
-}
-
-#undef FEMTO_TARGET_AVX512
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-#endif  // FEMTO_SIMD_X86
-
-}  // namespace detail
-
-// ---- dispatch entry points ------------------------------------------------
-//
-// Dispatch reads the cached simd::level() (clamped to CPU support at init,
-// so a vector path is never entered on a CPU that cannot run it). Word spans
-// shorter than one vector run the scalar tails inside the vector impls, so
-// tiny (single-word, i.e. <= 64 qubit) operands cost one extra predictable
-// branch over the old code.
-
-inline void xor_inplace(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      detail::xor_inplace_avx512(dst, src, nw);
-      return;
-    case simd::Level::kAvx2:
-      detail::xor_inplace_avx2(dst, src, nw);
-      return;
-    default:
-      break;
-  }
-#endif
-  detail::xor_inplace_portable(dst, src, nw);
-}
-
-inline void or_inplace(std::uint64_t* dst, const std::uint64_t* src,
-                       std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      detail::or_inplace_avx512(dst, src, nw);
-      return;
-    case simd::Level::kAvx2:
-      detail::or_inplace_avx2(dst, src, nw);
-      return;
-    default:
-      break;
-  }
-#endif
-  detail::or_inplace_portable(dst, src, nw);
-}
-
-inline void and_inplace(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      detail::and_inplace_avx512(dst, src, nw);
-      return;
-    case simd::Level::kAvx2:
-      detail::and_inplace_avx2(dst, src, nw);
-      return;
-    default:
-      break;
-  }
-#endif
-  detail::and_inplace_portable(dst, src, nw);
-}
-
-[[nodiscard]] inline std::size_t popcount(const std::uint64_t* w,
-                                          std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      return detail::popcount_avx512(w, nw);
-    case simd::Level::kAvx2:
-      return detail::popcount_avx2(w, nw);
-    default:
-      break;
-  }
-#endif
-  return detail::popcount_portable(w, nw);
-}
-
-/// XOR-parity of all bits in the span (== popcount(w, nw) & 1).
-[[nodiscard]] inline bool parity(const std::uint64_t* w, std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      return detail::parity_avx512(w, nw);
-    case simd::Level::kAvx2:
-      return detail::parity_avx2(w, nw);
-    default:
-      break;
-  }
-#endif
-  return detail::parity_portable(w, nw);
-}
-
-[[nodiscard]] inline std::size_t and_popcount(const std::uint64_t* a,
-                                              const std::uint64_t* b,
-                                              std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      return detail::and_popcount_avx512(a, b, nw);
-    case simd::Level::kAvx2:
-      return detail::and_popcount_avx2(a, b, nw);
-    default:
-      break;
-  }
-#endif
-  return detail::and_popcount_portable(a, b, nw);
-}
-
-/// popcount(a | b): support weight of a symplectic (x, z) pair.
-[[nodiscard]] inline std::size_t or_popcount(const std::uint64_t* a,
-                                             const std::uint64_t* b,
-                                             std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      return detail::or_popcount_avx512(a, b, nw);
-    case simd::Level::kAvx2:
-      return detail::or_popcount_avx2(a, b, nw);
-    default:
-      break;
-  }
-#endif
-  return detail::or_popcount_portable(a, b, nw);
-}
-
-/// Parity of the GF(2) inner product <a, b>.
-[[nodiscard]] inline bool and_parity(const std::uint64_t* a,
-                                     const std::uint64_t* b, std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      return detail::and_parity_avx512(a, b, nw);
-    case simd::Level::kAvx2:
-      return detail::and_parity_avx2(a, b, nw);
-    default:
-      break;
-  }
-#endif
-  return detail::and_parity_portable(a, b, nw);
-}
-
-[[nodiscard]] inline SupportCounts support_counts(const std::uint64_t* x1,
-                                                  const std::uint64_t* z1,
-                                                  const std::uint64_t* x2,
-                                                  const std::uint64_t* z2,
-                                                  std::size_t nw) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      return detail::support_counts_avx512(x1, z1, x2, z2, nw);
-    case simd::Level::kAvx2:
-      return detail::support_counts_avx2(x1, z1, x2, z2, nw);
-    default:
-      break;
-  }
-#endif
-  return detail::support_counts_portable(x1, z1, x2, z2, nw);
 }
 
 }  // namespace femto::gf2::wordops

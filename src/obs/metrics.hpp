@@ -40,8 +40,6 @@
 //                                     after a transport fault
 //   gauges     service.queue_depth    live admission-queue length
 //              service.in_flight      submitted tickets not yet terminal
-//              sim.simd_level         active kernel dispatch level
-//                                     (0 portable, 1 AVX2, 2 AVX-512)
 //   histograms service.request_latency_s   submit -> terminal, seconds
 //              service.queue_wait_s        submit -> scheduler pickup
 //

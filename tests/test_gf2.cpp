@@ -1,10 +1,13 @@
 // Unit and property tests for the GF(2) linear algebra substrate.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "gf2/bitvec.hpp"
 #include "gf2/linear_synthesis.hpp"
 #include "gf2/matrix.hpp"
+#include "gf2/wordops.hpp"
 
 namespace femto::gf2 {
 namespace {
@@ -39,7 +42,7 @@ TEST(BitVec, XorAndDot) {
 // Property test for the tail invariant documented in bitvec.hpp: every bit
 // at position >= size() in the final storage word stays zero through every
 // mutating operation. The word-reading reduction kernels (popcount, parity,
-// dot, the SIMD paths in wordops.hpp, hash_value) depend on this to scan
+// dot, the word kernels in wordops.hpp, hash_value) depend on this to scan
 // whole words without masking the tail.
 TEST(BitVec, TailPaddingInvariant) {
   Rng rng(20230807);
@@ -70,6 +73,65 @@ TEST(BitVec, TailPaddingInvariant) {
       for (std::size_t k = 0; k < n; ++k) pop += a.get(k) ? 1 : 0;
       ASSERT_EQ(a.popcount(), pop);
       ASSERT_EQ(a.parity(), (pop & 1) != 0);
+    }
+  }
+}
+
+// Every wordops reduction and in-place op against a per-bit BitVec::get
+// reference, at widths that leave the last word full, one bit short, one
+// bit over, and at one word.
+TEST(Wordops, MatchPerBitReference) {
+  Rng rng(1729);
+  const auto random_bits = [&](std::size_t n, double p) {
+    BitVec v(n);
+    for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(p));
+    return v;
+  };
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 255u, 256u, 257u}) {
+    for (const double p : {0.1, 0.5, 0.9}) {
+      const BitVec x1 = random_bits(n, p), z1 = random_bits(n, p);
+      const BitVec x2 = random_bits(n, p), z2 = random_bits(n, p);
+      const std::size_t nw = x1.word_count();
+      const std::uint64_t* a = x1.word_data();
+      const std::uint64_t* b = z1.word_data();
+
+      std::size_t pop = 0, and_pop = 0, or_pop = 0;
+      int common = 0, equal = 0;
+      bool has_xy = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool ax = x1.get(i), az = z1.get(i);
+        const bool bx = x2.get(i), bz = z2.get(i);
+        pop += ax;
+        and_pop += ax && az;
+        or_pop += ax || az;
+        const bool c = (ax || az) && (bx || bz);
+        common += c;
+        equal += c && ax == bx && az == bz;
+        has_xy = has_xy || (ax && bx && az != bz);
+      }
+      const auto where = [&] {
+        return "n=" + std::to_string(n) + " p=" + std::to_string(p);
+      };
+      EXPECT_EQ(wordops::popcount(a, nw), pop) << where();
+      EXPECT_EQ(wordops::parity(a, nw), (pop & 1) != 0) << where();
+      EXPECT_EQ(wordops::and_popcount(a, b, nw), and_pop) << where();
+      EXPECT_EQ(wordops::or_popcount(a, b, nw), or_pop) << where();
+      EXPECT_EQ(wordops::and_parity(a, b, nw), (and_pop & 1) != 0) << where();
+      const wordops::SupportCounts sc = wordops::support_counts(
+          a, b, x2.word_data(), z2.word_data(), nw);
+      EXPECT_EQ(sc.common, common) << where();
+      EXPECT_EQ(sc.equal, equal) << where();
+      EXPECT_EQ(sc.has_xy, has_xy) << where();
+
+      BitVec vx = x1, vo = x1, va = x1;
+      wordops::xor_inplace(vx.word_data(), b, nw);
+      wordops::or_inplace(vo.word_data(), b, nw);
+      wordops::and_inplace(va.word_data(), b, nw);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(vx.get(i), x1.get(i) != z1.get(i)) << where() << " i=" << i;
+        ASSERT_EQ(vo.get(i), x1.get(i) || z1.get(i)) << where() << " i=" << i;
+        ASSERT_EQ(va.get(i), x1.get(i) && z1.get(i)) << where() << " i=" << i;
+      }
     }
   }
 }

@@ -474,6 +474,90 @@ TEST(Pipeline, ValidateRequestCapsGaBudgets) {
   EXPECT_EQ(core::validate_request({.scenarios = {at_caps}}), "");
 }
 
+TEST(Pipeline, ValidateRequestCapsSolverBudgetsAndTerms) {
+  // SA steps, PSO particles x iterations, coloring orders, GA tournament
+  // draws and the term count all scale the work one restart does before
+  // its deadline is checked, so each is capped by validation alone; the
+  // over-cap values are never run.
+  core::CompileScenario s;
+  s.name = "h2";
+  s.num_qubits = h2().n;
+  s.terms = h2().terms;
+  s.options = fast_options();
+  constexpr int huge = std::numeric_limits<int>::max();
+  using Edit = void (*)(core::CompileOptions&);
+  const struct {
+    Edit edit;
+    std::string want;
+  } rows[] = {
+      {[](core::CompileOptions& o) { o.sa_options.steps = huge; },
+       "sa_options.steps must be in [1, " + std::to_string(core::kMaxSaSteps) +
+           "] (got " + std::to_string(huge) + ")"},
+      {[](core::CompileOptions& o) {
+         o.sa_options.steps = core::kMaxSaSteps + 1;
+       },
+       "sa_options.steps"},
+      {[](core::CompileOptions& o) { o.sa_options.steps = 0; },
+       "sa_options.steps must be in [1, "},
+      {[](core::CompileOptions& o) { o.sa_options.t_final = 0.0; },
+       "sa_options.t_initial and t_final must be > 0"},
+      {[](core::CompileOptions& o) { o.pso_options.particles = huge; },
+       "pso_options.particles must be <= " +
+           std::to_string(core::kMaxPsoParticles) + " (got " +
+           std::to_string(huge) + ")"},
+      {[](core::CompileOptions& o) {
+         o.pso_options.particles = core::kMaxPsoParticles + 1;
+       },
+       "pso_options.particles"},
+      {[](core::CompileOptions& o) { o.pso_options.iterations = huge; },
+       "pso_options.iterations must be <= " +
+           std::to_string(core::kMaxPsoIterations) + " (got " +
+           std::to_string(huge) + ")"},
+      {[](core::CompileOptions& o) {
+         o.pso_options.iterations = core::kMaxPsoIterations + 1;
+       },
+       "pso_options.iterations"},
+      {[](core::CompileOptions& o) { o.coloring_orders = huge; },
+       "coloring_orders must be in [1, " +
+           std::to_string(core::kMaxColoringOrders) + "] (got " +
+           std::to_string(huge) + ")"},
+      {[](core::CompileOptions& o) {
+         o.coloring_orders = core::kMaxColoringOrders + 1;
+       },
+       "coloring_orders"},
+      {[](core::CompileOptions& o) { o.gtsp_options.tournament = huge; },
+       "gtsp_options.tournament must be <= " +
+           std::to_string(core::kMaxGtspTournament) + " (got " +
+           std::to_string(huge) + ")"},
+  };
+  for (const auto& row : rows) {
+    core::CompileScenario capped = s;
+    row.edit(capped.options);
+    const std::string err = core::validate_request({.scenarios = {capped}});
+    EXPECT_NE(err.find("scenario 'h2': " + row.want), std::string::npos)
+        << "missing '" << row.want << "' in: " << err;
+  }
+
+  core::CompileScenario many_terms = s;
+  many_terms.terms.assign(core::kMaxScenarioTerms + 1, s.terms.front());
+  const std::string err = core::validate_request({.scenarios = {many_terms}});
+  EXPECT_NE(err.find("scenario 'h2': terms has " +
+                     std::to_string(core::kMaxScenarioTerms + 1) +
+                     " entries, more than the " +
+                     std::to_string(core::kMaxScenarioTerms)),
+            std::string::npos)
+      << err;
+
+  core::CompileScenario at_caps = s;
+  at_caps.options.sa_options.steps = core::kMaxSaSteps;
+  at_caps.options.pso_options.particles = core::kMaxPsoParticles;
+  at_caps.options.pso_options.iterations = core::kMaxPsoIterations;
+  at_caps.options.coloring_orders = core::kMaxColoringOrders;
+  at_caps.options.gtsp_options.tournament = core::kMaxGtspTournament;
+  at_caps.terms.assign(core::kMaxScenarioTerms, s.terms.front());
+  EXPECT_EQ(core::validate_request({.scenarios = {at_caps}}), "");
+}
+
 TEST(Pipeline, CompileRequestHonorsCancelAndDeadline) {
   const Fixture& f = lih();
   core::CompileScenario s;

@@ -476,7 +476,9 @@ TEST(Service, CancelDuringRunningStopsAtRestartBoundary) {
 
 TEST(Service, DeadlineExceededMidRequest) {
   service::Service svc(small_service());
-  core::CompileRequest request = tiny_request("deadline-mid", 2000);
+  // 20000 tiny restarts run for seconds; 2000 could finish inside the
+  // 0.15 s budget on a fast host, so the deadline never fired.
+  core::CompileRequest request = tiny_request("deadline-mid", 20000);
   request.deadline_s = 0.15;
   const auto ticket = svc.submit(request);
   const core::CompileResponse& response = ticket->wait();
@@ -485,7 +487,7 @@ TEST(Service, DeadlineExceededMidRequest) {
   EXPECT_NE(response.detail.find("restart job"), std::string::npos)
       << response.detail;
   ASSERT_EQ(response.outcomes.size(), 1u);
-  EXPECT_LT(response.outcomes[0].restarts_completed, 2000u)
+  EXPECT_LT(response.outcomes[0].restarts_completed, 20000u)
       << "deadline must interrupt the restart sweep";
 }
 

@@ -4,7 +4,9 @@
 // by direct matvec) on random states, for 2-10 qubits with fixed RNG seeds.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "circuit/quantum_circuit.hpp"
@@ -267,6 +269,57 @@ TEST_P(KernelEquivalence, AccumulatePauliMatchesDenseAction) {
 INSTANTIATE_TEST_SUITE_P(TwoToTenQubits, KernelEquivalence,
                          ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
                                            10u));
+
+/// Reference Pauli exponential: the historical per-index loop, no sub-run
+/// decomposition. Guards the run-decomposed kernel against structural
+/// mistakes (pair enumeration, phase hoisting).
+void reference_pauli_exp(std::vector<Complex>& a, const kernels::PauliMasks& m,
+                         double c, double s) {
+  const std::size_t dim = a.size();
+  if (m.x == 0) {
+    const Complex even{c, -s}, odd{c, s};
+    for (std::size_t i = 0; i < dim; ++i)
+      a[i] *= (std::popcount(i & m.z) & 1) ? odd : even;
+    return;
+  }
+  const std::size_t pb = std::size_t{1} << (std::bit_width(m.x) - 1);
+  const std::size_t flip = static_cast<std::size_t>(m.x);
+  const Complex mis{0.0, -s};
+  for (std::size_t g = 0; g < dim; g += 2 * pb) {
+    for (std::size_t i = g; i < g + pb; ++i) {
+      const std::size_t j = i ^ flip;
+      const Complex ai = a[i], aj = a[j];
+      a[i] = c * ai + mis * m.phase(j) * aj;
+      a[j] = c * aj + mis * m.phase(i) * ai;
+    }
+  }
+}
+
+// Byte equality, not a tolerance: the sub-run kernel must perform the same
+// per-element arithmetic as the per-index loop (the bit-identity contract
+// in sim/kernels.hpp).
+TEST(KernelEquivalence, PauliExpMatchesPerIndexReference) {
+  Rng rng(31337);
+  const char* strings[] = {"ZIZ", "XIX", "YZY", "IXI", "ZZZZZ", "XYZIX"};
+  for (const char* s : strings) {
+    const PauliString p = PauliString::from_string(s);
+    const StateVector base = random_state(p.num_qubits(), rng);
+    const double angle = 0.83;
+    const double half = p.sign().real() * angle / 2;
+
+    StateVector sv = base;
+    sv.apply_pauli_exp(p, angle);
+
+    std::vector<Complex> ref = base.amplitudes();
+    reference_pauli_exp(ref, detail::make_masks(p), std::cos(half),
+                        std::sin(half));
+    ASSERT_EQ(sv.amplitudes().size(), ref.size());
+    EXPECT_EQ(std::memcmp(sv.amplitudes().data(), ref.data(),
+                          ref.size() * sizeof(Complex)),
+              0)
+        << s;
+  }
+}
 
 TEST(KernelEquivalence, GateNormPreservation) {
   // Unitarity smoke check at a size where every stride shape (low/high/mixed

@@ -61,16 +61,11 @@ ABS_FLOORS = {
     # reference machine does ~5.5x / ~10x; the floors keep headroom while
     # guaranteeing the incremental Gamma evaluation stays >= 3x over full
     # recompute and the dense GTSP GA >= 2x over the lazy solver.
-    # simd_wordops_speedup is forced-portable vs best dispatch level in the
-    # same process (reference machine ~9x with AVX-512; AVX2-only hosts
-    # still clear ~5x because the vectorized popcount replaces a per-word
-    # libcall); the floor only requires that SIMD dispatch keeps paying.
     # gt_real_cost_speedup is the GT baseline's real-cost objective on
     # water(14): the LinearEncoding + per-target Held-Karp oracle
     # (tests/oracles/gt_reference.hpp) vs the phase-free map + shared-table
     # Held-Karp production path, same process.
     "compile_hot": {"gamma_eval_speedup": 3.0, "gtsp_ga_speedup": 2.0,
-                    "simd_wordops_speedup": 1.5,
                     "gt_real_cost_speedup": 2.5},
     # End-to-end daemon serving (bench_service drives a real femtod over
     # its socket): the reference machine serves ~30-75 plans/s through the
@@ -128,14 +123,6 @@ ABS_EXACT = {
         "table1/H2O(17)/jw": 173, "table1/H2O(17)/bk": 210,
         "table1/H2O(17)/gt": 167, "table1/H2O(17)/adv": 137,
     },
-    # The SIMD layer's bit-identity contract: switching the dispatch level
-    # (portable/AVX2/AVX-512) must never change a single amplitude bit
-    # (statevector) or any integer reduction (compile_hot wordops). The
-    # bench binaries recompute these cross-level comparisons on every run;
-    # any value but 1.0 means a vector path's per-element op tree diverged
-    # from the portable reference.
-    "statevector": {"*/simd_bit_identical": 1.0},
-    "compile_hot": {"*/simd_bit_identical": 1.0},
     # The daemon determinism + lifecycle contract, end to end over the wire
     # (bench_service boots femtod and byte-compares every served response
     # against the same request compiled in-process): serving and
